@@ -26,7 +26,6 @@ import numpy as np
 from .engine import (
     NonFiniteIterateError,
     RelaxationRangeError,
-    StopRule,
     fejer_monitor,
     run,
 )
@@ -41,6 +40,7 @@ from .harness import (
     parse_config,
     proximity_argmin_oracle,
     proximity_value,
+    summary_doc,
     write_summary_json,
     write_trace_csv,
 )
@@ -57,7 +57,7 @@ from .operators import (
 from .strings import check_admissibility, rho_constant, signature_str
 from .superiorize import superiorized_run
 
-__all__ = ["main", "cli_main"]
+__all__ = ["main"]
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -228,18 +228,7 @@ def _cmd_sweep(args) -> int:
         if out_dir is not None:
             summary = _run_outputs(config, out_dir, quiet=True)
         else:
-            trace = _execute(config)
-            final = trace.final
-            summary = {
-                "iters": trace.iterations,
-                "converged": trace.converged,
-                "final_x": [float(v) for v in final],
-                "final_residuals": {
-                    signature_str(sig): residual(op, final)
-                    for sig, op in config.schedule.distinct_operators().items()
-                },
-                "phi_final": float(trace.phi_values[-1]) if trace.phi_values is not None else None,
-            }
+            summary = summary_doc(config, _execute(config))
         rows.append((value, summary))
     if not args.quiet:
         print(f"{args.param:>24}  {'iters':>8}  {'max_residual':>13}  {'phi_final':>12}")
@@ -309,11 +298,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NonFiniteIterateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def cli_main(argv: Optional[list[str]] = None) -> int:
-    """Alias for :func:`main`."""
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ __all__ = [
     "inner",
     "norm",
     "dist_to_point_set",
+    "check_weights",
 ]
 
 
@@ -64,7 +65,24 @@ def dist_to_point_set(x, sample) -> float:
     if pts.size == 0:
         raise ValueError("dist_to_point_set: empty sample")
     x = as_vector(x, dim=pts.shape[-1])
-    return float(np.min(np.sqrt(np.sum((pts - x) ** 2, axis=-1))))
+    return float(np.min(norm(pts - x)))
+
+
+def check_weights(weights, count: int | None = None, what: str = "weights") -> tuple[float, ...]:
+    """Validate a weight vector: strictly positive, summing to one within eq_tol.
+
+    ``count``, when given, is the required number of weights; ``what`` names
+    them in error messages.  Returns the weights as a tuple of floats.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or (count is not None and w.size != count):
+        raise ValueError(f"need {count or 'a vector of'} {what}, got shape {w.shape}")
+    if np.any(w <= 0.0):
+        raise ValueError(f"{what} must be strictly positive")
+    total = sum(w.tolist())
+    if abs(total - 1.0) > DEFAULT_TOLERANCES.eq_tol:
+        raise ValueError(f"{what} sum to {total!r}, not 1")
+    return tuple(w.tolist())
 
 
 @dataclass(frozen=True)

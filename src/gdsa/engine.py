@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Tolerances, as_vector
+from .core import DEFAULT_TOLERANCES, Tolerances, as_vector, norm
 from .operators import FixedPointWitness, Operator, apply, residual
 from .strings import ControlSchedule, PlanSignature, rho_constant
 
@@ -218,13 +218,12 @@ def _run_loop(
     relax: RelaxationSchedule,
     x0,
     stop: StopRule,
-    perturbation_at: Optional[Callable[[int, np.ndarray], np.ndarray]],
-    phi: Optional[Callable[[np.ndarray], float]] = None,
-    budget_remaining_at: Optional[Callable[[int], float]] = None,
+    shift_at: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
 ) -> IterationTrace:
     """Shared driver for plain, perturbed, and superiorized runs.
 
-    ``perturbation_at(k, x)`` returns the shift added to x before the step.
+    ``shift_at(k, x)`` returns the shift added to x before step k; without it
+    every step is unperturbed and the recorded perturbations are zero.
     """
     rho = rho_constant(schedule)
     relax.validate(rho)
@@ -234,9 +233,7 @@ def _run_loop(
     step_norms: list[float] = []
     lambdas: list[float] = []
     signatures: list[PlanSignature] = []
-    perturbations: list[np.ndarray] = []
-    phis: list[float] = [phi(x)] if phi is not None else []
-    budgets: list[float] = []
+    shifts: list[np.ndarray] = []
 
     quiet_streak = 0
     converged = False
@@ -244,23 +241,20 @@ def _run_loop(
         plan = schedule.plan_at(k)
         op = schedule.operator_for(plan)
         lam = relax.value_at(k)
-        shift = (
-            perturbation_at(k, x) if perturbation_at is not None else np.zeros(schedule.dim)
-        )
-        x_next = gdsa_step(x + shift, op, lam)
+        if shift_at is None:
+            x_next = gdsa_step(x, op, lam)
+        else:
+            shift = shift_at(k, x)
+            shifts.append(shift)
+            x_next = gdsa_step(x + shift, op, lam)
         if not np.all(np.isfinite(x_next)):
             raise NonFiniteIterateError(k, f"non-finite iterate at step {k} (lam={lam:g})")
-        step = float(np.sqrt(np.sum((x_next - x) ** 2)))
+        step = norm(x_next - x)
 
         iterates.append(x_next.copy())
         step_norms.append(step)
         lambdas.append(lam)
         signatures.append(plan.signature())
-        perturbations.append(np.asarray(shift, dtype=float))
-        if phi is not None:
-            phis.append(phi(x_next))
-        if budget_remaining_at is not None:
-            budgets.append(budget_remaining_at(k))
 
         x = x_next
         quiet_streak = quiet_streak + 1 if step <= stop.step_tol else 0
@@ -268,15 +262,17 @@ def _run_loop(
             converged = True
             break
 
+    if shift_at is None:
+        perturbations = np.zeros((len(step_norms), schedule.dim))
+    else:
+        perturbations = np.asarray(shifts, dtype=float)
     return IterationTrace(
         iterates=np.asarray(iterates),
         step_norms=np.asarray(step_norms),
         lambdas=np.asarray(lambdas),
         plan_signatures=tuple(signatures),
-        perturbations=np.asarray(perturbations),
+        perturbations=perturbations,
         converged=converged,
-        phi_values=np.asarray(phis) if phi is not None else None,
-        perturb_budget_remaining=np.asarray(budgets) if budget_remaining_at is not None else None,
     )
 
 
@@ -294,14 +290,14 @@ def run(
     relaxation schedule is validated against the schedule's rho before any
     step is taken.
     """
-    perturbation_at = None
+    shift_at = None
     if perturb is not None:
         draw = perturb.direction_stream(schedule.dim)
 
-        def perturbation_at(k: int, _x: np.ndarray) -> np.ndarray:
+        def shift_at(k: int, _x: np.ndarray) -> np.ndarray:
             return perturb.beta_at(k) * draw(k)
 
-    return _run_loop(schedule, relax, x0, stop, perturbation_at)
+    return _run_loop(schedule, relax, x0, stop, shift_at)
 
 
 @dataclass(frozen=True)
@@ -405,8 +401,7 @@ def distance_decay_diagnostic(
     oracle = None
     if c_sample is not None:
         pts = np.atleast_2d(np.asarray(c_sample, dtype=float))
-        diffs = xs[:, None, :] - pts[None, :, :]
-        oracle = np.min(np.sqrt(np.sum(diffs**2, axis=-1)), axis=-1)
+        oracle = np.min(norm(xs[:, None, :] - pts[None, :, :]), axis=-1)
     return DistanceDecayReport(
         residuals=res,
         final_residuals=res[-1] if len(res) else np.zeros(0),

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Tolerances, as_vector
+from .core import DEFAULT_TOLERANCES, Tolerances, as_vector, check_weights, norm
 from .engine import (
     IterationTrace,
     PerturbationSchedule,
@@ -31,16 +31,9 @@ from .operators import (
     Operator,
     apply,
     operator_from_json,
-    operator_to_json,
     residual,
 )
-from .strings import (
-    ControlSchedule,
-    StringPlan,
-    plan_from_json,
-    plan_to_json,
-    signature_str,
-)
+from .strings import ControlSchedule, plan_from_json, signature_str
 from .superiorize import (
     ObjectiveFunction,
     SuperiorizationSchedule,
@@ -66,6 +59,7 @@ __all__ = [
     "parse_config",
     "config_hash",
     "write_trace_csv",
+    "summary_doc",
     "write_summary_json",
 ]
 
@@ -143,17 +137,6 @@ class GridSpec:
         return (self.high - self.low) / (self.points - 1)
 
 
-def _check_weights(weights, m: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m,):
-        raise ValueError(f"need {m} weights, got shape {w.shape}")
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive")
-    if abs(float(np.sum(w)) - 1.0) > DEFAULT_TOLERANCES.eq_tol:
-        raise ValueError(f"weights sum to {float(np.sum(w))!r}, not 1")
-    return w
-
-
 def proximity_value(problem: ProblemInstance, weights, x) -> float:
     """Weighted mean squared violation ``(1/2) sum_i w_i ||P_i(x) - x||^2``.
 
@@ -161,7 +144,7 @@ def proximity_value(problem: ProblemInstance, weights, x) -> float:
     fixed points of the weighted simultaneous projection operator.
     Accepts batches of points.
     """
-    w = _check_weights(weights, problem.m)
+    w = check_weights(weights, problem.m)
     x = np.asarray(x, dtype=float)
     total = 0.0
     for wi, p in zip(w, problem.projectors):
@@ -202,7 +185,7 @@ def proximity_argmin_oracle(
     halving-step refinement down to conv_tol.  Restricted to dim <= 3."""
     if problem.dim > _ORACLE_DIM_LIMIT:
         raise ValueError(f"oracle restricted to dimension <= {_ORACLE_DIM_LIMIT}")
-    w = _check_weights(weights, problem.m)
+    w = check_weights(weights, problem.m)
     mesh = grid.mesh(problem.dim)
     values = proximity_value(problem, w, mesh)
     best = mesh[int(np.argmin(values))]
@@ -219,31 +202,25 @@ def fixed_point_oracle(
 ) -> np.ndarray:
     """Plain Picard iteration of ``op`` from x0 down to residual conv_tol/100.
 
-    Independent of the relaxed engine loop.  The caller is responsible for
-    passing an operator for which plain iteration converges (averaged
-    firmly-nonexpansive maps qualify); a hard iteration cap guards the rest.
+    ``x0`` is one start point or a (k, n) stack of them.  Each row stops at
+    the first iterate that passes the residual test, so a stack returns the
+    rows that separate calls would return.  Independent of the relaxed
+    engine loop.  The caller is responsible for passing an operator for
+    which plain iteration converges (averaged firmly-nonexpansive maps
+    qualify); a hard iteration cap guards the rest.
     """
-    x = as_vector(x0, dim=op.dim)
+    x = np.asarray(x0, dtype=float)
+    if x.ndim == 1:
+        x = as_vector(x, dim=op.dim)
     tol = tolerances.conv_tol / 100.0
     for _ in range(max_iters):
         tx = apply(op, x)
-        if float(np.sqrt(np.sum((tx - x) ** 2))) <= tol:
+        done = norm(tx - x) <= tol
+        if np.all(done):
             return tx
-        x = tx
+        # a finished row stays put, so its image is recomputed unchanged
+        x = np.where(np.expand_dims(done, -1), x, tx)
     raise OracleIterationCapError(f"no fixed point within {max_iters} plain iterations")
-
-
-def _batched_picard(
-    op: Operator, pts: np.ndarray, tol: float, max_iters: int = 1_000_000
-) -> np.ndarray:
-    """Plain fixed-point iteration applied to a whole stack of start points."""
-    x = np.asarray(pts, dtype=float)
-    for _ in range(max_iters):
-        tx = apply(op, x)
-        if float(np.max(np.sqrt(np.sum((tx - x) ** 2, axis=-1)))) <= tol:
-            return tx
-        x = tx
-    raise OracleIterationCapError(f"no fixed points within {max_iters} plain iterations")
 
 
 def constrained_min_oracle(
@@ -263,7 +240,7 @@ def constrained_min_oracle(
     """
     if problem.dim > _ORACLE_DIM_LIMIT:
         raise ValueError(f"oracle restricted to dimension <= {_ORACLE_DIM_LIMIT}")
-    w = _check_weights(weights, problem.m)
+    w = check_weights(weights, problem.m)
     avg = (
         problem.projectors[0]
         if problem.m == 1
@@ -273,7 +250,7 @@ def constrained_min_oracle(
     def project(x: np.ndarray) -> np.ndarray:
         return fixed_point_oracle(avg, x, tolerances, max_iters=1_000_000)
 
-    samples = _batched_picard(avg, grid.mesh(problem.dim), tolerances.conv_tol / 100.0)
+    samples = fixed_point_oracle(avg, grid.mesh(problem.dim), tolerances, max_iters=1_000_000)
     values = np.array([phi.evaluate(s) for s in samples])
     best = samples[int(np.argmin(values))]
 
@@ -586,7 +563,7 @@ def write_trace_csv(
     for k in range(n + 1):
         row = [str(k)] + [_fmt(v) for v in trace.iterates[k]]
         if k < n:
-            pnorm = float(np.sqrt(np.sum(trace.perturbations[k] ** 2)))
+            pnorm = norm(trace.perturbations[k])
             row += [
                 _fmt(trace.step_norms[k]),
                 _fmt(trace.lambdas[k]),
@@ -603,19 +580,19 @@ def write_trace_csv(
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def write_summary_json(
-    path: str | Path,
+def summary_doc(
     config: ExperimentConfig,
     trace: IterationTrace,
     fejer_min_slack: Optional[float] = None,
 ) -> dict:
-    """Write the run summary; returns the document that was written."""
+    """The run summary: config hash, iterations, final point, per-plan
+    residuals, minimum Fejér slack and final objective value."""
     final = trace.final
     residuals = {
         signature_str(sig): residual(op, final)
         for sig, op in config.schedule.distinct_operators().items()
     }
-    doc = {
+    return {
         "config_hash": config.hash,
         "seed": config.seed,
         "iters": trace.iterations,
@@ -625,5 +602,15 @@ def write_summary_json(
         "fejer_min_slack": fejer_min_slack,
         "phi_final": float(trace.phi_values[-1]) if trace.phi_values is not None else None,
     }
+
+
+def write_summary_json(
+    path: str | Path,
+    config: ExperimentConfig,
+    trace: IterationTrace,
+    fejer_min_slack: Optional[float] = None,
+) -> dict:
+    """Write the run summary; returns the document that was written."""
+    doc = summary_doc(config, trace, fejer_min_slack)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return doc

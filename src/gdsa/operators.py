@@ -30,6 +30,8 @@ from .core import (
     SampleSpec,
     Tolerances,
     as_vector,
+    check_weights,
+    norm,
 )
 
 __all__ = [
@@ -149,7 +151,7 @@ class BallProjection(Operator):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         delta = x - self.center
-        d = np.sqrt(np.sum(delta * delta, axis=-1))
+        d = norm(delta)
         scale = np.where(d > self.radius, self.radius / np.where(d == 0.0, 1.0, d), 1.0)
         return self.center + scale[..., None] * delta
 
@@ -236,14 +238,10 @@ class ConvexCombination(Operator):
     declared_alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
-        terms = tuple((float(w), op) for w, op in self.terms)
-        if not terms:
+        if not self.terms:
             raise ValueError("convex combination needs at least one term")
-        if any(w <= 0.0 for w, _ in terms):
-            raise ValueError("convex combination weights must be strictly positive")
-        total = sum(w for w, _ in terms)
-        if abs(total - 1.0) > DEFAULT_TOLERANCES.eq_tol:
-            raise ValueError(f"convex combination weights sum to {total!r}, not 1")
+        weights = check_weights([w for w, _ in self.terms], what="convex combination weights")
+        terms = tuple(zip(weights, (op for _, op in self.terms)))
         dims = {op.dim for _, op in terms}
         if len(dims) != 1:
             raise DimensionMismatchError("convex combination mixes dimensions")
@@ -298,9 +296,7 @@ def apply(op: Operator, x) -> np.ndarray:
 def residual(op: Operator, x) -> float:
     """||T(x) - x||, the displacement of x under the operator."""
     x = np.asarray(x, dtype=float)
-    d = apply(op, x) - x
-    s = np.sum(d * d, axis=-1)
-    return float(np.sqrt(s)) if np.ndim(s) == 0 else np.sqrt(s)
+    return norm(apply(op, x) - x)
 
 
 def propagate_alpha(op: Operator) -> float:
@@ -392,7 +388,7 @@ def check_nonexpansive(
     samples = samples or SampleSpec(dim=op.dim)
     xs, ys = samples.pairs()
     tx, ty = apply(op, xs), apply(op, ys)
-    viol = np.sqrt(np.sum((tx - ty) ** 2, axis=-1)) - np.sqrt(np.sum((xs - ys) ** 2, axis=-1))
+    viol = norm(tx - ty) - norm(xs - ys)
     worst = float(np.max(viol))
     return CheckReport("nonexpansive", worst <= tolerances.slack_tol, worst, samples.count)
 

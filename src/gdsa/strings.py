@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import DEFAULT_TOLERANCES
+from .core import check_weights
 from .operators import (
     Composition,
     ConvexCombination,
@@ -73,17 +73,11 @@ class StringPlan:
         strings = tuple(
             s if isinstance(s, IndexString) else IndexString(tuple(s)) for s in self.strings
         )
-        weights = tuple(float(w) for w in self.weights)
         if not strings:
             raise ValueError("a plan needs at least one string")
-        if len(strings) != len(weights):
-            raise ValueError("strings and weights must be parallel")
         if len(set(s.indices for s in strings)) != len(strings):
             raise ValueError("duplicate strings in plan")
-        if any(w <= 0.0 for w in weights):
-            raise ValueError("plan weights must be strictly positive")
-        if abs(sum(weights) - 1.0) > DEFAULT_TOLERANCES.eq_tol:
-            raise ValueError(f"plan weights sum to {sum(weights)!r}, not 1")
+        weights = check_weights(self.weights, len(strings), "plan weights")
         object.__setattr__(self, "strings", strings)
         object.__setattr__(self, "weights", weights)
 

@@ -16,12 +16,12 @@ distance to every constrained minimizer strictly.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Tolerances, as_vector
+from .core import DEFAULT_TOLERANCES, Tolerances, as_vector, norm
 from .engine import IterationTrace, RelaxationSchedule, StopRule, _run_loop
 from .strings import ControlSchedule
 
@@ -190,7 +190,7 @@ def perturbation_directions(
         if not np.isfinite(phi.evaluate(point)):
             raise ValueError("objective evaluated to a non-finite value")
         s = phi.subgradient(point)
-        ns = float(np.sqrt(np.sum(s * s)))
+        ns = norm(s)
         if not np.isfinite(ns):
             raise ValueError("subgradient selection is non-finite")
         v = np.zeros_like(point) if ns <= tolerances.subgrad_zero_tol else -s / ns
@@ -216,7 +216,7 @@ def superiorized_run(
     budget remaining after every step.
     """
 
-    def perturbation_at(k: int, y: np.ndarray) -> np.ndarray:
+    def shift_at(k: int, y: np.ndarray) -> np.ndarray:
         betas = sup.betas_at(k)
         dirs = perturbation_directions(y, phi, sup.steps, betas, tolerances)
         total = np.zeros_like(y)
@@ -224,17 +224,13 @@ def superiorized_run(
             total = total + b * v
         return total
 
-    def budget_remaining_at(k: int) -> float:
-        return sup.total_budget - sup.spent_through(k)
-
-    return _run_loop(
-        schedule,
-        relax,
-        y0,
-        stop,
-        perturbation_at,
-        phi=phi.evaluate,
-        budget_remaining_at=budget_remaining_at,
+    trace = _run_loop(schedule, relax, y0, stop, shift_at)
+    return replace(
+        trace,
+        phi_values=np.asarray([phi.evaluate(y) for y in trace.iterates]),
+        perturb_budget_remaining=np.asarray(
+            [sup.total_budget - sup.spent_through(k) for k in range(trace.iterations)]
+        ),
     )
 
 

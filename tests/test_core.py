@@ -11,10 +11,14 @@ from gdsa.core import (
     SampleSpec,
     Tolerances,
     as_vector,
+    check_weights,
     dist_to_point_set,
     inner,
     norm,
 )
+from gdsa.harness import proximity_value, two_interval_problem
+from gdsa.operators import ConvexCombination, Identity
+from gdsa.strings import IndexString, StringPlan
 
 
 def test_inner_orthogonal():
@@ -61,6 +65,30 @@ def test_dist_to_point_set_1d():
 def test_dist_to_point_set_empty():
     with pytest.raises(ValueError):
         dist_to_point_set([0.0], np.zeros((0, 1)))
+
+
+def test_check_weights_returns_floats():
+    assert check_weights(np.array([0.25, 0.75]), 2) == (0.25, 0.75)
+
+
+@pytest.mark.parametrize("weights", [(0.7, 0.7), (1.5, -0.5), (0.5, 0.25, 0.25), ((0.5, 0.5),)])
+def test_check_weights_rejects(weights):
+    with pytest.raises(ValueError):
+        check_weights(weights, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda w: StringPlan((IndexString((1,)), IndexString((2,))), w),
+        lambda w: ConvexCombination(tuple(zip(w, (Identity(1), Identity(1))))),
+        lambda w: proximity_value(two_interval_problem(), w, [0.0]),
+    ],
+    ids=["plan", "combination", "proximity"],
+)
+def test_weight_callers_share_the_rule(build):
+    with pytest.raises(ValueError, match=r"sum to 1\.4, not 1"):
+        build((0.7, 0.7))
 
 
 def test_as_vector_rejects_nonfinite():

@@ -109,6 +109,7 @@ class TestRun:
         assert len(trace.lambdas) == trace.iterations
         assert len(trace.plan_signatures) == trace.iterations
         assert trace.perturbations.shape == (trace.iterations, 1)
+        assert np.all(trace.perturbations == 0.0)
 
     def test_out_of_range_relaxation_rejected_before_iterating(self, interval_schedule):
         bad = RelaxationSchedule(epsilon=0.05, constant=2.0)  # 1 + rho = 2 itself is out

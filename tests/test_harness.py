@@ -12,6 +12,7 @@ from gdsa.engine import run
 from gdsa.harness import (
     ConfigError,
     GridSpec,
+    OracleIterationCapError,
     ProblemInstance,
     certified_c_witness,
     classify_consistency,
@@ -26,7 +27,14 @@ from gdsa.harness import (
     write_summary_json,
     write_trace_csv,
 )
-from gdsa.operators import BallProjection, BoxProjection, Identity, residual
+from gdsa.operators import (
+    BallProjection,
+    BoxProjection,
+    HyperplaneProjection,
+    Identity,
+    Relaxation,
+    residual,
+)
 from gdsa.strings import simultaneous_plan
 
 
@@ -75,6 +83,20 @@ class TestFixedPointOracle:
     def test_two_interval_averaged(self, interval_schedule):
         z = fixed_point_oracle(interval_schedule.operator_at(0), [7.3])
         assert abs(z[0]) <= DEFAULT_TOLERANCES.conv_tol / 10
+
+    @pytest.mark.parametrize("make", [two_interval_problem, two_ball_problem, overlapping_ball_problem])
+    def test_stack_matches_single_calls(self, make):
+        problem = make()
+        op = simultaneous_schedule(problem).operator_at(0)
+        starts = GridSpec(-5, 5, 7).mesh(problem.dim)
+        stacked = fixed_point_oracle(op, starts)
+        singles = np.stack([fixed_point_oracle(op, x0) for x0 in starts])
+        assert np.array_equal(stacked, singles)
+
+    def test_iteration_cap_raises(self):
+        reflection = Relaxation(HyperplaneProjection([1.0], 0.0), 2.0)  # x -> -x forever
+        with pytest.raises(OracleIterationCapError):
+            fixed_point_oracle(reflection, [1.0], max_iters=10)
 
     def test_identity_returns_start(self):
         z = fixed_point_oracle(Identity(2), [0.3, -0.4])

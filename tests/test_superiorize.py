@@ -158,6 +158,16 @@ class TestSuperiorizedRun:
         assert np.all(np.diff(trace.perturb_budget_remaining) <= 0)
         assert trace.perturb_budget_remaining[-1] >= 0.0
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_trace_phi_and_budget_are_exact(self, ball_schedule, unit_relax, default_stop, steps):
+        phi = L1Norm()
+        sup = SuperiorizationSchedule(beta0=0.5, decay=0.9, steps=steps)
+        trace = superiorized_run(ball_schedule, unit_relax, phi, sup, [3.0, 4.0], stop=default_stop)
+        for k, y in enumerate(trace.iterates):
+            assert trace.phi_values[k] == phi.evaluate(y)
+        for k in range(trace.iterations):
+            assert trace.perturb_budget_remaining[k] == sup.total_budget - sup.spent_through(k)
+
     def test_perturbed_point_within_budget(self, interval_schedule, unit_relax, default_stop):
         phi = WeightedSquaredNorm(np.array([0.0]))
         sup = SuperiorizationSchedule(beta0=0.5, decay=0.9, steps=3)
