@@ -69,7 +69,7 @@ def dist_to_point_set(x, sample) -> float:
 
 
 def check_weights(weights, count: int | None = None, what: str = "weights") -> tuple[float, ...]:
-    """Validate a weight vector: strictly positive, summing to one within eq_tol.
+    """Validate a weight vector: finite, strictly positive, summing to one within eq_tol.
 
     ``count``, when given, is the required number of weights; ``what`` names
     them in error messages.  Returns the weights as a tuple of floats.
@@ -77,6 +77,8 @@ def check_weights(weights, count: int | None = None, what: str = "weights") -> t
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or (count is not None and w.size != count):
         raise ValueError(f"need {count or 'a vector of'} {what}, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{what} must be finite")
     if np.any(w <= 0.0):
         raise ValueError(f"{what} must be strictly positive")
     total = sum(w.tolist())

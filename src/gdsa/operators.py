@@ -90,13 +90,16 @@ class HalfspaceProjection(Operator):
     a: np.ndarray
     b: float
     declared_alpha: Optional[float] = None
+    _aa: float = field(init=False, repr=False)  # <a, a>, computed once
 
     def __post_init__(self) -> None:
         a = _readonly(as_vector(self.a).copy())
-        if float(np.dot(a, a)) == 0.0:
+        aa = float(a @ a)
+        if aa == 0.0:
             raise ValueError("half-space normal must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "_aa", aa)
 
     @property
     def dim(self) -> int:
@@ -104,7 +107,7 @@ class HalfspaceProjection(Operator):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         excess = np.maximum(0.0, x @ self.a - self.b)
-        return x - (excess / float(self.a @ self.a))[..., None] * self.a
+        return x - (excess / self._aa)[..., None] * self.a
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,20 +117,23 @@ class HyperplaneProjection(Operator):
     a: np.ndarray
     b: float
     declared_alpha: Optional[float] = None
+    _aa: float = field(init=False, repr=False)  # <a, a>, computed once
 
     def __post_init__(self) -> None:
         a = _readonly(as_vector(self.a).copy())
-        if float(np.dot(a, a)) == 0.0:
+        aa = float(a @ a)
+        if aa == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "_aa", aa)
 
     @property
     def dim(self) -> int:
         return self.a.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return x - ((x @ self.a - self.b) / float(self.a @ self.a))[..., None] * self.a
+        return x - ((x @ self.a - self.b) / self._aa)[..., None] * self.a
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,12 +236,49 @@ class Relaxation(Operator):
         return x + self.lam * (tx - x)
 
 
+class _HalfspaceFamily:
+    """Stacked evaluation of ``sum_i w_i P_{H_i}(x)`` over half-spaces, for one vector x.
+
+    Equal bit for bit to the tree's ``w_0 T_0(x) + w_1 T_1(x) + ...``: the
+    dots are the leaves' own 1-D ``x @ a_i`` (a gemv ``A @ x`` rounds
+    differently), every elementwise operation is the leaf's, and the axis-0
+    reduce adds the rows in order starting from -0.0, the exact additive
+    identity, so a sum of -0.0 terms stays -0.0.  numpy adds row by row only
+    when the reduced axis is not the fast one in memory, so the family needs
+    dimension >= 2; in R^1 it would sum pairwise.
+    """
+
+    __slots__ = ("rows", "matrix", "b", "aa", "w")
+
+    def __init__(self, terms: tuple[tuple[float, HalfspaceProjection], ...]) -> None:
+        leaves = [op for _, op in terms]
+        self.rows = tuple(op.a for op in leaves)
+        self.matrix = _readonly(np.stack(self.rows))
+        self.b = _readonly(np.array([op.b for op in leaves]))
+        self.aa = _readonly(np.array([op._aa for op in leaves]))
+        self.w = _readonly(np.array([[w] for w, _ in terms]))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        dots = np.array([x @ a for a in self.rows])
+        scale = np.maximum(0.0, dots - self.b) / self.aa
+        t = scale[:, None] * self.matrix
+        np.subtract(x, t, out=t)
+        np.multiply(self.w, t, out=t)
+        return np.add.reduce(t, axis=0, initial=-0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexCombination(Operator):
-    """Weighted average ``sum_i w_i T_i`` with strictly positive weights summing to one."""
+    """Weighted average ``sum_i w_i T_i`` with strictly positive weights summing to one.
+
+    Two or more half-space terms in dimension >= 2 evaluate a single vector
+    through a stacked kernel (``_HalfspaceFamily``) equal to the sum below bit
+    for bit; stacks of vectors and every other mix of terms use the sum.
+    """
 
     terms: tuple[tuple[float, Operator], ...]
     declared_alpha: Optional[float] = None
+    _halfspaces: Optional[_HalfspaceFamily] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -246,12 +289,16 @@ class ConvexCombination(Operator):
         if len(dims) != 1:
             raise DimensionMismatchError("convex combination mixes dimensions")
         object.__setattr__(self, "terms", terms)
+        if len(terms) > 1 and self.dim > 1 and all(type(op) is HalfspaceProjection for _, op in terms):
+            object.__setattr__(self, "_halfspaces", _HalfspaceFamily(terms))
 
     @property
     def dim(self) -> int:
         return self.terms[0][1].dim
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        if self._halfspaces is not None and np.ndim(x) == 1:
+            return self._halfspaces.apply(x)
         out = self.terms[0][0] * self.terms[0][1].apply(x)
         for w, op in self.terms[1:]:
             out = out + w * op.apply(x)

@@ -68,6 +68,7 @@ class StringPlan:
 
     strings: tuple[IndexString, ...]
     weights: tuple[float, ...]
+    _signature: PlanSignature = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         strings = tuple(
@@ -80,6 +81,9 @@ class StringPlan:
         weights = check_weights(self.weights, len(strings), "plan weights")
         object.__setattr__(self, "strings", strings)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(
+            self, "_signature", tuple(sorted((s.indices, w) for s, w in zip(strings, weights)))
+        )
 
     @property
     def q(self) -> int:
@@ -93,8 +97,9 @@ class StringPlan:
         """Order-independent structural identity: sorted (indices, weight) pairs.
 
         Weights compare exactly; weights intended equal must be written equal.
+        Computed once, at construction.
         """
-        return tuple(sorted((s.indices, w) for s, w in zip(self.strings, self.weights)))
+        return self._signature
 
 
 def signature_str(sig: PlanSignature) -> str:

@@ -78,6 +78,14 @@ def test_check_weights_rejects(weights):
 
 
 @pytest.mark.parametrize(
+    "weights", [(np.nan, np.nan), (np.nan, 1.0), (np.inf, 0.5), (0.5, -np.inf), (np.inf, np.inf)]
+)
+def test_check_weights_rejects_nonfinite(weights):
+    with pytest.raises(ValueError, match="finite"):
+        check_weights(weights, 2)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda w: StringPlan((IndexString((1,)), IndexString((2,))), w),

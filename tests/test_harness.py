@@ -305,6 +305,14 @@ class TestCli:
         missing.write_text(json.dumps({"problem": CONFIG_DOC["problem"]}))
         assert main(["run", str(missing), "--quiet"]) == 2
 
+    def test_nan_plan_weights_exit_2(self, config_file, tmp_path, capsys):
+        doc = json.loads(config_file.read_text())
+        doc["schedule"]["cycle"][0]["weights"] = [float("nan"), float("nan")]
+        bad = tmp_path / "nan_weights.json"
+        bad.write_text(json.dumps(doc))  # written as the JSON extension NaN
+        assert main(["run", str(bad), "--quiet"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_oracle_emits_feasible_point_for_consistent_problem(self, tmp_path, capsys):
         doc = {
             "problem": {

@@ -69,6 +69,13 @@ class TestPlanValidation:
         q = plan_of((1,), (2,), weights=(0.5, 0.5))
         assert p.signature() != q.signature()
 
+    def test_signature_computed_once(self):
+        p = plan_of((2,), (1,), weights=(0.75, 0.25))
+        assert p.signature() is p.signature()
+        assert p.signature() == (((1,), 0.25), ((2,), 0.75))
+        assert "_signature" not in repr(p)
+        assert p == plan_of((2,), (1,), weights=(0.75, 0.25))
+
     def test_signature_str_has_no_commas(self):
         sig = plan_of((1, 2), (2, 1)).signature()
         assert "," not in signature_str(sig)
