@@ -7,8 +7,6 @@ from .core import (
     DimensionMismatchError,
     SampleSpec,
     Tolerances,
-    dist_to_point_set,
-    inner,
     norm,
 )
 from .engine import (

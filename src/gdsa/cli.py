@@ -8,7 +8,8 @@ Subcommands:
 * ``sweep <config.json> --param a.b.c --values v1,v2``  grid over one config field
 * ``oracle <config.json>``  emit target-set witnesses and constrained minimizers
 
-Exit codes: 0 success, 1 verification failure, 2 malformed configuration.
+Exit codes: 0 success; 1 verification failure, a non-finite iterate or an
+oracle that cannot converge; 2 malformed configuration.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     GridSpec,
+    OracleIterationCapError,
     certified_c_witness,
     constrained_min_oracle,
     fixed_point_oracle,
@@ -295,7 +297,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, RelaxationRangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteIterateError as exc:
+    except (NonFiniteIterateError, OracleIterationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

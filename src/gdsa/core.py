@@ -7,6 +7,7 @@ all reductions run over the last axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "SampleSpec",
     "as_vector",
-    "inner",
     "norm",
-    "dist_to_point_set",
     "check_weights",
 ]
 
@@ -40,32 +39,14 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def inner(x, y) -> float:
-    """Euclidean inner product <x, y>."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[-1] != y.shape[-1]:
-        raise DimensionMismatchError(f"inner: dimensions {x.shape[-1]} and {y.shape[-1]} differ")
-    return float(np.dot(x, y)) if x.ndim == 1 and y.ndim == 1 else np.sum(x * y, axis=-1)
-
-
 def norm(x) -> float:
-    """Euclidean norm sqrt(<x, x>); reduces over the last axis for batches."""
-    x = np.asarray(x, dtype=float)
-    s = np.sum(x * x, axis=-1)
-    return float(np.sqrt(s)) if np.ndim(s) == 0 else np.sqrt(s)
+    """Euclidean norm sqrt(<x, x>); reduces over the last axis for batches.
 
-
-def dist_to_point_set(x, sample) -> float:
-    """Minimum of ||x - y|| over a nonempty finite set of points ``sample``.
-
-    Used by oracles that stand in for a set by a dense sample of its points.
+    A stack's row norms equal the rows' single-vector norms bit for bit.
     """
-    pts = np.atleast_2d(np.asarray(sample, dtype=float))
-    if pts.size == 0:
-        raise ValueError("dist_to_point_set: empty sample")
-    x = as_vector(x, dim=pts.shape[-1])
-    return float(np.min(norm(pts - x)))
+    x = np.asarray(x, dtype=float)
+    s = np.add.reduce(x * x, axis=-1)
+    return math.sqrt(s) if x.ndim == 1 else np.sqrt(s)
 
 
 def check_weights(weights, count: int | None = None, what: str = "weights") -> tuple[float, ...]:

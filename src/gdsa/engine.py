@@ -14,13 +14,14 @@ the superiorization layer exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import DEFAULT_TOLERANCES, Tolerances, as_vector, norm
-from .operators import FixedPointWitness, Operator, apply, residual
+from .operators import FixedPointWitness, Operator, _relaxed, apply, residual
 from .strings import ControlSchedule, PlanSignature, rho_constant
 
 __all__ = [
@@ -207,10 +208,7 @@ def gdsa_step(x: np.ndarray, plan_op: Operator, lam: float) -> np.ndarray:
     lam = 1 returns T(x) itself, and a fixed point is returned unchanged for
     any lam (the displacement is exactly zero).
     """
-    tx = apply(plan_op, x)
-    if lam == 1.0:
-        return tx
-    return x + lam * (tx - x)
+    return _relaxed(x, apply(plan_op, x), lam)
 
 
 def _run_loop(
@@ -224,12 +222,15 @@ def _run_loop(
 
     ``shift_at(k, x)`` returns the shift added to x before step k; without it
     every step is unperturbed and the recorded perturbations are zero.
+    Each step is :func:`gdsa_step` without its per-call conversion and
+    dimension check: x0 passed ``as_vector``, and operators keep the dimension.
     """
     rho = rho_constant(schedule)
     relax.validate(rho)
     x = as_vector(x0, dim=schedule.dim)
 
-    iterates = [x.copy()]
+    # the lists only feed the stacked arrays below, which copy every row
+    iterates = [x]
     step_norms: list[float] = []
     lambdas: list[float] = []
     signatures: list[PlanSignature] = []
@@ -242,16 +243,18 @@ def _run_loop(
         op = schedule.operator_for(plan)
         lam = relax.value_at(k)
         if shift_at is None:
-            x_next = gdsa_step(x, op, lam)
+            y = x
         else:
             shift = shift_at(k, x)
             shifts.append(shift)
-            x_next = gdsa_step(x + shift, op, lam)
-        if not np.all(np.isfinite(x_next)):
-            raise NonFiniteIterateError(k, f"non-finite iterate at step {k} (lam={lam:g})")
+            y = x + shift
+        x_next = _relaxed(y, op.apply(y), lam)
         step = norm(x_next - x)
+        # x is finite, so a non-finite entry of x_next makes the step non-finite
+        if not math.isfinite(step) and not np.all(np.isfinite(x_next)):
+            raise NonFiniteIterateError(k, f"non-finite iterate at step {k} (lam={lam:g})")
 
-        iterates.append(x_next.copy())
+        iterates.append(x_next)
         step_norms.append(step)
         lambdas.append(lam)
         signatures.append(plan.signature())

@@ -31,6 +31,7 @@ from .operators import (
     Operator,
     apply,
     operator_from_json,
+    propagate_alpha,
     residual,
 )
 from .strings import ControlSchedule, plan_from_json, signature_str
@@ -205,10 +206,15 @@ def fixed_point_oracle(
     ``x0`` is one start point or a (k, n) stack of them.  Each row stops at
     the first iterate that passes the residual test, so a stack returns the
     rows that separate calls would return.  Independent of the relaxed
-    engine loop.  The caller is responsible for passing an operator for
-    which plain iteration converges (averaged firmly-nonexpansive maps
-    qualify); a hard iteration cap guards the rest.
+    engine loop.  Plain iteration converges for averaged operators
+    (``propagate_alpha(op) < 2``); a reflection (alpha = 2) is refused at
+    once, an operator without a derivable alpha must declare one, and a
+    hard iteration cap guards the rest.
     """
+    if propagate_alpha(op) >= 2.0:
+        raise OracleIterationCapError(
+            "plain iteration need not converge for alpha >= 2 (a reflection)"
+        )
     x = np.asarray(x0, dtype=float)
     if x.ndim == 1:
         x = as_vector(x, dim=op.dim)
@@ -538,10 +544,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(doc, path.parent)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_trace_csv(
     trace: IterationTrace,
     path: str | Path,
@@ -552,32 +554,32 @@ def write_trace_csv(
     Row k holds iterate k; the step-indexed columns are empty on the final
     row.  Superiorized traces gain phi_value and budget columns.
     """
-    superiorized = trace.phi_values is not None
     dim = trace.iterates.shape[-1]
     header = ["k"] + [f"x{i}" for i in range(dim)]
     header += ["step_norm", "lambda", "plan_signature", "perturb_norm", "fejer_slack_min"]
-    if superiorized:
-        header += ["phi_value", "perturb_l1_budget_remaining"]
-    lines = [",".join(header)]
     n = trace.iterations
-    for k in range(n + 1):
-        row = [str(k)] + [_fmt(v) for v in trace.iterates[k]]
-        if k < n:
-            pnorm = norm(trace.perturbations[k])
-            row += [
-                _fmt(trace.step_norms[k]),
-                _fmt(trace.lambdas[k]),
-                signature_str(trace.plan_signatures[k]),
-                _fmt(pnorm),
-                _fmt(fejer_slack_min[k]) if fejer_slack_min is not None else "",
-            ]
-        else:
-            row += ["", "", "", "", ""]
-        if superiorized:
-            row.append(_fmt(trace.phi_values[k]))
-            row.append(_fmt(trace.perturb_budget_remaining[k]) if k < n else "")
-        lines.append(",".join(row))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    labels = {sig: signature_str(sig) for sig in set(trace.plan_signatures)}
+    slacks = [""] * n if fejer_slack_min is None else ["%.17g" % v for v in fejer_slack_min.tolist()]
+    columns = zip(
+        trace.step_norms.tolist(),
+        trace.lambdas.tolist(),
+        [labels[sig] for sig in trace.plan_signatures],
+        norm(np.reshape(trace.perturbations, (n, dim))).tolist(),
+        slacks,
+        strict=True,
+    )
+    tails = ["%.17g,%.17g,%s,%.17g,%s" % row for row in columns] + [",,,,"]
+    if trace.phi_values is not None:
+        header += ["phi_value", "perturb_l1_budget_remaining"]
+        left = ["%.17g" % v for v in trace.perturb_budget_remaining.tolist()] + [""]
+        tails = ["%s,%.17g,%s" % row for row in zip(tails, trace.phi_values.tolist(), left, strict=True)]
+    # "%.17g" renders a Python float exactly as format(v, ".17g") does
+    point = ",".join(["%.17g"] * dim)
+    # rows are formatted and written one at a time, so the text is never held whole
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for k, tail in enumerate(tails):
+            fh.write(f"{k}," + point % tuple(trace.iterates[k].tolist()) + "," + tail + "\n")
 
 
 def summary_doc(

@@ -230,10 +230,13 @@ class Relaxation(Operator):
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.lam == 0.0:
             return np.asarray(x, dtype=float)
-        tx = self.inner.apply(x)
-        if self.lam == 1.0:
-            return tx
-        return x + self.lam * (tx - x)
+        return _relaxed(x, self.inner.apply(x), self.lam)
+
+
+def _relaxed(x: np.ndarray, tx: np.ndarray, lam: float) -> np.ndarray:
+    """The relaxed step ``x + lam * (tx - x)`` from x toward its image tx;
+    lam = 1 returns tx itself (no arithmetic)."""
+    return tx if lam == 1.0 else x + lam * (tx - x)
 
 
 class _HalfspaceFamily:

@@ -16,6 +16,7 @@ distance to every constrained minimizer strictly.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -97,7 +98,7 @@ class L1Norm(ObjectiveFunction):
     (minimal-norm subgradient, so the zero branch fires exactly at the minimizer)."""
 
     def evaluate(self, x: np.ndarray) -> float:
-        return float(np.sum(np.abs(x)))
+        return float(np.add.reduce(np.abs(x), axis=None))
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return np.sign(x)
@@ -181,21 +182,21 @@ def perturbation_directions(
     shifted point ``y + sum_{i<=n} betas[i] * v_i``, or zero when the selected
     subgradient's norm is at or below subgrad_zero_tol.
     """
-    betas = np.asarray(betas, dtype=float)
+    betas = np.asarray(betas, dtype=float).tolist()
     if len(betas) != n_steps:
         raise ValueError("betas must have one entry per inner step")
-    point = np.asarray(y, dtype=float).copy()
+    point = np.asarray(y, dtype=float)
     dirs: list[np.ndarray] = []
-    for n in range(n_steps):
-        if not np.isfinite(phi.evaluate(point)):
+    for beta in betas:
+        if not math.isfinite(phi.evaluate(point)):
             raise ValueError("objective evaluated to a non-finite value")
         s = phi.subgradient(point)
         ns = norm(s)
-        if not np.isfinite(ns):
+        if not math.isfinite(ns):
             raise ValueError("subgradient selection is non-finite")
         v = np.zeros_like(point) if ns <= tolerances.subgrad_zero_tol else -s / ns
         dirs.append(v)
-        point = point + betas[n] * v
+        point = point + beta * v
     return dirs
 
 
@@ -220,8 +221,8 @@ def superiorized_run(
         betas = sup.betas_at(k)
         dirs = perturbation_directions(y, phi, sup.steps, betas, tolerances)
         total = np.zeros_like(y)
-        for b, v in zip(betas, dirs):
-            total = total + b * v
+        for b, v in zip(betas.tolist(), dirs):
+            total += b * v
         return total
 
     trace = _run_loop(schedule, relax, y0, stop, shift_at)

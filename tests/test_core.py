@@ -7,35 +7,15 @@ from hypothesis import strategies as st
 
 from gdsa.core import (
     DEFAULT_TOLERANCES,
-    DimensionMismatchError,
     SampleSpec,
     Tolerances,
     as_vector,
     check_weights,
-    dist_to_point_set,
-    inner,
     norm,
 )
 from gdsa.harness import proximity_value, two_interval_problem
 from gdsa.operators import ConvexCombination, Identity
 from gdsa.strings import IndexString, StringPlan
-
-
-def test_inner_orthogonal():
-    assert inner([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_inner_sum_of_squares():
-    assert inner([1.0, 2.0], [1.0, 2.0]) == 5.0
-
-
-def test_inner_coordinate_extraction():
-    assert inner([2.0, 3.0], [1.0, 0.0]) == 2.0
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        inner([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_norm_pythagorean():
@@ -50,21 +30,12 @@ def test_norm_unit_scalar():
     assert norm([1.0]) == 1.0
 
 
-def test_dist_to_point_set_nearest():
-    assert dist_to_point_set([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]]) == 1.0
-
-
-def test_dist_to_point_set_membership():
-    assert dist_to_point_set([1.0, 1.0], [[1.0, 1.0]]) == 0.0
-
-
-def test_dist_to_point_set_1d():
-    assert dist_to_point_set([0.0], [[-2.0], [3.0]]) == 2.0
-
-
-def test_dist_to_point_set_empty():
-    with pytest.raises(ValueError):
-        dist_to_point_set([0.0], np.zeros((0, 1)))
+@pytest.mark.parametrize("n", [1, 8, 9, 128, 129, 1000, 9000])
+def test_norm_of_a_stack_equals_row_norms_bitwise(n):
+    # the trace writer takes every perturbation norm from one stacked call
+    rows = np.random.default_rng(n).standard_normal((7, n)) * np.logspace(-150, 150, 7)[:, None]
+    singles = np.array([norm(row) for row in rows])
+    assert norm(rows).tobytes() == singles.tobytes()
 
 
 def test_check_weights_returns_floats():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import interval_distance, simultaneous_schedule
-from gdsa.core import DEFAULT_TOLERANCES, SampleSpec
+from gdsa.core import DEFAULT_TOLERANCES, SampleSpec, norm
 from gdsa.engine import (
     IterationTrace,
     NonFiniteIterateError,
@@ -22,14 +22,18 @@ from gdsa.engine import (
 )
 from gdsa.operators import (
     BallProjection,
+    BoxProjection,
     FixedPointWitness,
+    HalfspaceProjection,
+    HyperplaneProjection,
     Operator,
     Relaxation,
     apply,
     check_rho_fne,
     residual,
 )
-from gdsa.strings import ControlSchedule, rho_constant, simultaneous_plan
+from gdsa.strings import ControlSchedule, StringPlan, rho_constant, simultaneous_plan
+from gdsa.superiorize import L1Norm, SuperiorizationSchedule, perturbation_directions, superiorized_run
 
 
 class TestGdsaStep:
@@ -166,6 +170,114 @@ class TestRun:
             run(sched, relax, [5.0], stop=StopRule(step_tol=1e-8, window=10, max_iters=5000))
 
 
+def mixed_schedule(dim: int = 5) -> ControlSchedule:
+    """Five sets of four kinds under three plans of length-1 strings (rho = 1)."""
+    rng = np.random.default_rng(5)
+    sets = (
+        BoxProjection(-np.ones(dim), np.ones(dim)),
+        BallProjection(0.3 * np.ones(dim), 1.5),
+        HalfspaceProjection(rng.standard_normal(dim), 0.4),
+        HalfspaceProjection(rng.standard_normal(dim), 0.1),
+        HyperplaneProjection(rng.standard_normal(dim), 0.2),
+    )
+    cycle = (
+        simultaneous_plan(5),
+        StringPlan(((1,), (2,), (3,), (4,), (5,)), (0.1, 0.15, 0.2, 0.25, 0.3)),
+        StringPlan(((3,), (4,)), (0.5, 0.5)),
+    )
+    return ControlSchedule(operators=sets, cycle=cycle)
+
+
+def hand_loop(schedule, lam, x0, iterations, shift_at=None):
+    """``gdsa_step`` applied step by step: iterates, shifts and step norms."""
+    x = np.array(x0, dtype=float)
+    xs, shifts, steps = [x], [], []
+    for k in range(iterations):
+        y = x
+        if shift_at is not None:
+            shifts.append(shift_at(k, x))
+            y = x + shifts[-1]
+        x_next = gdsa_step(y, schedule.operator_at(k), lam)
+        steps.append(norm(x_next - x))
+        xs.append(x_next)
+        x = x_next
+    return np.array(xs), np.array(shifts), np.array(steps)
+
+
+class TestRunLoopEqualsGdsaStep:
+    X0 = (4.0, -3.0, 2.5, 6.0, -1.0)
+    STOP = StopRule(step_tol=1e-9, window=5, max_iters=300)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7, 1.5])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "perturbed"])
+    def test_run(self, lam, perturbed):
+        schedule = mixed_schedule()
+        relax = RelaxationSchedule(epsilon=0.05, constant=lam)
+        perturb = PerturbationSchedule(beta0=0.5, decay=0.9, seed=4) if perturbed else None
+        trace = run(schedule, relax, self.X0, perturb=perturb, stop=self.STOP)
+        shift_at = None
+        if perturbed:
+            draw = perturb.direction_stream(schedule.dim)
+
+            def shift_at(k, _x):
+                return perturb.beta_at(k) * draw(k)
+
+        xs, shifts, steps = hand_loop(schedule, lam, self.X0, trace.iterations, shift_at)
+        assert trace.iterates.tobytes() == xs.tobytes()
+        assert trace.step_norms.tobytes() == steps.tobytes()
+        assert np.all(trace.lambdas == lam)
+        assert trace.plan_signatures == tuple(schedule.plan_at(k).signature() for k in range(trace.iterations))
+        if perturbed:
+            assert trace.perturbations.tobytes() == shifts.tobytes()
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7, 1.5])
+    def test_superiorized_run(self, lam):
+        schedule = mixed_schedule()
+        relax = RelaxationSchedule(epsilon=0.05, constant=lam)
+        phi, sup = L1Norm(), SuperiorizationSchedule(beta0=1.0, decay=0.95, steps=3)
+        trace = superiorized_run(schedule, relax, phi, sup, self.X0, stop=self.STOP)
+
+        def shift_at(k, x):
+            betas = sup.betas_at(k)
+            total = np.zeros_like(x)
+            for b, v in zip(betas, perturbation_directions(x, phi, sup.steps, betas)):
+                total = total + b * v
+            return total
+
+        xs, shifts, steps = hand_loop(schedule, lam, self.X0, trace.iterations, shift_at)
+        assert trace.iterates.tobytes() == xs.tobytes()
+        assert trace.perturbations.tobytes() == shifts.tobytes()
+        assert trace.step_norms.tobytes() == steps.tobytes()
+
+    @pytest.mark.parametrize("nan_above", [np.inf, 1e3], ids=["overflow", "nan"])
+    def test_nonfinite_iterate_raised_at_the_same_step(self, nan_above):
+        @dataclass(frozen=True, eq=False)
+        class Expander(Operator):
+            """x -> 2x, NaN past ``nan_above``; declared alpha 2, so the engine runs it."""
+
+            nan_above: float
+            declared_alpha: float = 2.0
+            dim = 1
+
+            def apply(self, x):
+                y = 2.0 * np.asarray(x, dtype=float)
+                return np.where(np.abs(y) > self.nan_above, np.nan, y)
+
+        op = Expander(nan_above)
+        sched = ControlSchedule(operators=(op,), cycle=(simultaneous_plan(1),))
+        relax = RelaxationSchedule(epsilon=0.05, constant=0.9)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, expected = np.array([5.0]), None
+            for k in range(5000):
+                x = gdsa_step(x, op, 0.9)
+                if not np.all(np.isfinite(x)):
+                    expected = k
+                    break
+            with pytest.raises(NonFiniteIterateError) as err:
+                run(sched, relax, [5.0], stop=StopRule(step_tol=1e-8, window=10, max_iters=5000))
+        assert expected is not None and err.value.step == expected
+
+
 class TestFejerMonitor:
     def test_constant_trace_nonnegative(self, interval_schedule, unit_relax):
         trace = run(interval_schedule, unit_relax, [0.0], stop=StopRule(1e-8, 10, 100))
@@ -221,7 +333,25 @@ class TestStepNormDecay:
         assert report.passed is True and report.last_step_norm == 0.0
 
 
+def still_trace(point) -> IterationTrace:
+    """A trace of one iterate and no steps."""
+    x = np.array([point], dtype=float)
+    return IterationTrace(x, np.zeros(0), np.zeros(0), (), np.zeros((0, x.shape[1])), True)
+
+
 class TestDistanceDecay:
+    def test_oracle_distance_nearest(self):
+        report = distance_decay_diagnostic(still_trace([0.0, 0.0]), [], c_sample=[[1.0, 0.0], [0.0, 2.0]])
+        assert report.oracle_distances.tolist() == [1.0]
+
+    def test_oracle_distance_membership(self):
+        report = distance_decay_diagnostic(still_trace([1.0, 1.0]), [], c_sample=[[1.0, 1.0]])
+        assert report.oracle_distances.tolist() == [0.0]
+
+    def test_oracle_distance_1d(self):
+        report = distance_decay_diagnostic(still_trace([0.0]), [], c_sample=[[-2.0], [3.0]])
+        assert report.oracle_distances.tolist() == [2.0]
+
     def test_converged_run_residuals_vanish(self, two_interval, interval_schedule, unit_relax, default_stop):
         trace = run(interval_schedule, unit_relax, [7.3], stop=default_stop)
         report = distance_decay_diagnostic(trace, two_interval.projectors)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from conftest import simultaneous_schedule
 from gdsa.cli import main
 from gdsa.core import DEFAULT_TOLERANCES
-from gdsa.engine import run
+from gdsa.engine import PerturbationSchedule, RelaxationSchedule, StopRule, run
 from gdsa.harness import (
     ConfigError,
     GridSpec,
@@ -30,12 +32,14 @@ from gdsa.harness import (
 from gdsa.operators import (
     BallProjection,
     BoxProjection,
+    HalfspaceProjection,
     HyperplaneProjection,
     Identity,
     Relaxation,
     residual,
 )
-from gdsa.strings import simultaneous_plan
+from gdsa.strings import ControlSchedule, StringPlan, signature_str, simultaneous_plan
+from gdsa.superiorize import L1Norm, SuperiorizationSchedule, superiorized_run
 
 
 class TestProximity:
@@ -93,10 +97,19 @@ class TestFixedPointOracle:
         singles = np.stack([fixed_point_oracle(op, x0) for x0 in starts])
         assert np.array_equal(stacked, singles)
 
-    def test_iteration_cap_raises(self):
-        reflection = Relaxation(HyperplaneProjection([1.0], 0.0), 2.0)  # x -> -x forever
+    def test_reflection_is_refused_at_once(self):
+        reflection = Relaxation(HyperplaneProjection([1.0], 0.0), 2.0)
+        start = time.perf_counter()
         with pytest.raises(OracleIterationCapError):
-            fixed_point_oracle(reflection, [1.0], max_iters=10)
+            fixed_point_oracle(reflection, [1.0])
+        assert time.perf_counter() - start < 1.0
+
+    def test_iteration_cap_raises(self):
+        # alpha = 1.9 passes the up-front check; x -> -0.9 x needs about 200 steps
+        slow = Relaxation(HyperplaneProjection([1.0], 0.0), 1.9)
+        with pytest.raises(OracleIterationCapError):
+            fixed_point_oracle(slow, [1.0], max_iters=10)
+        assert fixed_point_oracle(slow, [1.0])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_returns_start(self):
         z = fixed_point_oracle(Identity(2), [0.3, -0.4])
@@ -236,6 +249,88 @@ class TestConfig:
         assert c1.hash == c2.hash
 
 
+def reference_trace_csv(trace, fejer_slack_min=None) -> bytes:
+    """The per-value trace writer that write_trace_csv must match byte for byte."""
+
+    def fmt(v) -> str:
+        return format(float(v), ".17g")
+
+    superiorized = trace.phi_values is not None
+    dim = trace.iterates.shape[-1]
+    header = ["k"] + [f"x{i}" for i in range(dim)]
+    header += ["step_norm", "lambda", "plan_signature", "perturb_norm", "fejer_slack_min"]
+    if superiorized:
+        header += ["phi_value", "perturb_l1_budget_remaining"]
+    lines = [",".join(header)]
+    n = trace.iterations
+    for k in range(n + 1):
+        row = [str(k)] + [fmt(v) for v in trace.iterates[k]]
+        if k < n:
+            p = trace.perturbations[k]
+            row += [
+                fmt(trace.step_norms[k]),
+                fmt(trace.lambdas[k]),
+                signature_str(trace.plan_signatures[k]),
+                fmt(np.sqrt(np.sum(p * p))),
+                fmt(fejer_slack_min[k]) if fejer_slack_min is not None else "",
+            ]
+        else:
+            row += ["", "", "", "", ""]
+        if superiorized:
+            row.append(fmt(trace.phi_values[k]))
+            row.append(fmt(trace.perturb_budget_remaining[k]) if k < n else "")
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# -0.0, the smallest subnormal and a huge value, each placed in some column 0
+SPECIAL = np.array([-0.0, 5e-324, 1.5e300])
+
+
+def mixed_trace(kind: str, dim: int):
+    """A short run over a box, a ball and two half-spaces under three plans."""
+    rng = np.random.default_rng(dim)
+    sets = (
+        BoxProjection(-np.ones(dim), np.ones(dim)),
+        BallProjection(0.5 * np.ones(dim), 2.0),
+        HalfspaceProjection(rng.standard_normal(dim), 0.3),
+        HalfspaceProjection(rng.standard_normal(dim), 0.2),
+    )
+    cycle = (
+        simultaneous_plan(4),
+        StringPlan(((1,), (2,), (3,), (4,)), (0.1, 0.2, 0.3, 0.4)),
+        StringPlan(((1, 2, 3, 4),), (1.0,)),
+    )
+    schedule = ControlSchedule(operators=sets, cycle=cycle)
+    relax = RelaxationSchedule(epsilon=0.05, constant=0.9)
+    stop = StopRule(step_tol=1e-300, window=1, max_iters=40)
+    x0 = 6.0 * rng.standard_normal(dim)
+    if kind == "superiorized":
+        sup = SuperiorizationSchedule(beta0=1.0, decay=0.9, steps=2)
+        return superiorized_run(schedule, relax, L1Norm(), sup, x0, stop=stop)
+    perturb = PerturbationSchedule(beta0=0.5, decay=0.9, seed=3) if kind == "perturbed" else None
+    return run(schedule, relax, x0, perturb=perturb, stop=stop)
+
+
+class TestTraceCsvBytes:
+    @pytest.mark.parametrize("dim", [1, 3, 100])
+    @pytest.mark.parametrize("fejer", [False, True], ids=["fejer_empty", "fejer_filled"])
+    @pytest.mark.parametrize("kind", ["plain", "perturbed", "superiorized"])
+    def test_matches_the_per_value_writer(self, tmp_path, kind, fejer, dim):
+        trace = mixed_trace(kind, dim)
+        assert trace.iterations >= 3
+        iterates = trace.iterates.copy()
+        iterates[:3] = np.resize(SPECIAL, (3, dim))
+        trace = replace(trace, iterates=iterates)
+        slacks = None
+        if fejer:
+            slacks = np.random.default_rng(1).standard_normal(trace.iterations)
+            slacks[:3] = SPECIAL
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path, fejer_slack_min=slacks)
+        assert path.read_bytes() == reference_trace_csv(trace, slacks)
+
+
 class TestPersistence:
     def test_csv_round_structure(self, tmp_path, interval_schedule, unit_relax, default_stop):
         trace = run(interval_schedule, unit_relax, [7.3], stop=default_stop)
@@ -340,6 +435,25 @@ class TestCli:
         assert main(["oracle", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert abs(out["constrained_min"][0]) <= 1e-6
+
+    def test_oracle_on_a_reflection_exits_1_at_once(self, tmp_path, capsys):
+        doc = {
+            "problem": {
+                "dim": 1,
+                "sets": [
+                    {"kind": "relaxation", "lam": 2.0, "inner": {"kind": "hyperplane", "a": [1.0], "b": 0.0}}
+                ],
+            },
+            "schedule": {"cycle": [{"strings": [[1]], "weights": [1.0]}]},
+            "relaxation": {"epsilon": 0.05, "constant": 0.9},
+            "x0": [1.0],
+        }
+        path = tmp_path / "reflection.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["oracle", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "alpha" in capsys.readouterr().err
 
     def test_sweep_runs_each_value(self, config_file, capsys):
         assert main(["sweep", str(config_file), "--param", "relaxation.constant", "--values", "0.5,1.0,1.5"]) == 0
