@@ -52,7 +52,6 @@ from .operators import (
     check_nonexpansive,
     check_rho_fne,
     operator_from_json,
-    operator_to_json,
     propagate_alpha,
     residual,
 )

@@ -52,6 +52,7 @@ __all__ = [
     "fixed_point_oracle",
     "constrained_min_oracle",
     "certified_c_witness",
+    "classify_consistency",
     "two_interval_problem",
     "two_ball_problem",
     "segment_problem",
@@ -443,15 +444,26 @@ def _parse_schedule(doc: dict, problem: ProblemInstance) -> ControlSchedule:
     return ControlSchedule(operators=operators, cycle=cycle, preamble=preamble)
 
 
+def _fields(doc: dict, **casts) -> dict:
+    """The keys of ``casts`` that ``doc`` sets, each cast; absent keys keep the
+    defaults of the dataclass they are passed to."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected an object, got {doc!r}")
+    return {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _vectors(values) -> tuple[np.ndarray, ...]:
+    return tuple(np.asarray(v, float) for v in values)
+
+
 def _parse_relaxation(doc: dict) -> RelaxationSchedule:
-    kwargs = {"epsilon": float(doc.get("epsilon", 0.05))}
-    if "constant" in doc:
-        kwargs["constant"] = float(doc["constant"])
-    if "cycle" in doc:
-        kwargs["cycle"] = tuple(float(v) for v in doc["cycle"])
-    if "base" in doc:
-        kwargs["base"] = float(doc["base"])
-        kwargs["slope"] = float(doc.get("slope", 0.0))
+    kwargs = _fields(doc, epsilon=float, constant=float, cycle=_floats, base=float)
+    if "base" in doc:  # a slope only modifies a base
+        kwargs.update(_fields(doc, slope=float))
     return RelaxationSchedule(**kwargs)
 
 
@@ -468,33 +480,16 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         problem = _parse_problem(doc["problem"])
         schedule = _parse_schedule(doc["schedule"], problem)
         relax = _parse_relaxation(doc["relaxation"])
-        tol_doc = doc.get("tolerances", {})
-        tolerances = Tolerances(
-            eq_tol=float(tol_doc.get("eq_tol", DEFAULT_TOLERANCES.eq_tol)),
-            conv_tol=float(tol_doc.get("conv_tol", DEFAULT_TOLERANCES.conv_tol)),
-            slack_tol=float(tol_doc.get("slack_tol", DEFAULT_TOLERANCES.slack_tol)),
-            subgrad_zero_tol=float(
-                tol_doc.get("subgrad_zero_tol", DEFAULT_TOLERANCES.subgrad_zero_tol)
-            ),
-        )
-        stop_doc = doc.get("stop", {})
-        stop = StopRule(
-            step_tol=float(stop_doc.get("step_tol", tolerances.conv_tol)),
-            window=int(stop_doc.get("window", 10)),
-            max_iters=int(stop_doc.get("max_iters", 100_000)),
-        )
+        tol_casts = dict(eq_tol=float, conv_tol=float, slack_tol=float, subgrad_zero_tol=float)
+        tolerances = Tolerances(**_fields(doc.get("tolerances", {}), **tol_casts))
+        stop_doc = {"step_tol": tolerances.conv_tol, **doc.get("stop", {})}
+        stop = StopRule(**_fields(stop_doc, step_tol=float, window=int, max_iters=int))
         seed = int(doc.get("seed", 0))
         perturb = None
         if "perturbation" in doc:
-            p = doc["perturbation"]
-            directions = None
-            if "directions" in p:
-                directions = tuple(np.asarray(v, float) for v in p["directions"])
+            p = {"seed": seed, **doc["perturbation"]}
             perturb = PerturbationSchedule(
-                beta0=float(p.get("beta0", 0.5)),
-                decay=float(p.get("decay", 0.9)),
-                seed=int(p.get("seed", seed)),
-                directions=directions,
+                **_fields(p, beta0=float, decay=float, seed=int, directions=_vectors)
             )
         objective = None
         sup = None
@@ -507,11 +502,7 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
                 raise ConfigError(
                     f"objective dimension {objective.dim} differs from problem dimension {problem.dim}"
                 )
-            sup = SuperiorizationSchedule(
-                beta0=float(s.get("beta0", 0.5)),
-                decay=float(s.get("decay", 0.9)),
-                steps=int(s.get("steps", 1)),
-            )
+            sup = SuperiorizationSchedule(**_fields(s, beta0=float, decay=float, steps=int))
         if perturb is not None and sup is not None:
             raise ConfigError("choose either 'perturbation' or 'superiorization', not both")
         x0 = as_vector(doc["x0"], dim=problem.dim)

@@ -54,7 +54,6 @@ __all__ = [
     "check_rho_fne",
     "check_cutter",
     "projection_witness_points",
-    "operator_to_json",
     "operator_from_json",
 ]
 
@@ -81,11 +80,8 @@ class Operator:
 
 
 @dataclass(frozen=True, eq=False)
-class HalfspaceProjection(Operator):
-    """Metric projection onto the half-space {u : <a, u> <= b}.
-
-    Points on the boundary are fixed (the positive-part factor is zero there).
-    """
+class _AffineProjection(Operator):
+    """Shared data of the projections onto {u : <a, u> <= b} and {u : <a, u> = b}."""
 
     a: np.ndarray
     b: float
@@ -96,7 +92,7 @@ class HalfspaceProjection(Operator):
         a = _readonly(as_vector(self.a).copy())
         aa = float(a @ a)
         if aa == 0.0:
-            raise ValueError("half-space normal must be nonzero")
+            raise ValueError(f"{type(self).__name__} needs a nonzero normal")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "_aa", aa)
@@ -104,33 +100,21 @@ class HalfspaceProjection(Operator):
     @property
     def dim(self) -> int:
         return self.a.size
+
+
+class HalfspaceProjection(_AffineProjection):
+    """Metric projection onto the half-space {u : <a, u> <= b}.
+
+    Points on the boundary are fixed (the positive-part factor is zero there).
+    """
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         excess = np.maximum(0.0, x @ self.a - self.b)
         return x - (excess / self._aa)[..., None] * self.a
 
 
-@dataclass(frozen=True, eq=False)
-class HyperplaneProjection(Operator):
+class HyperplaneProjection(_AffineProjection):
     """Metric projection onto the hyperplane {u : <a, u> = b}."""
-
-    a: np.ndarray
-    b: float
-    declared_alpha: Optional[float] = None
-    _aa: float = field(init=False, repr=False)  # <a, a>, computed once
-
-    def __post_init__(self) -> None:
-        a = _readonly(as_vector(self.a).copy())
-        aa = float(a @ a)
-        if aa == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "_aa", aa)
-
-    @property
-    def dim(self) -> int:
-        return self.a.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return x - ((x @ self.a - self.b) / self._aa)[..., None] * self.a
@@ -354,10 +338,14 @@ def propagate_alpha(op: Operator) -> float:
 
     Rules: primitives and the identity are FNE (alpha = 1); an alpha-relaxed
     FNE relaxed again by lam is (alpha * lam)-relaxed FNE (relaxations nest
-    multiplicatively); a convex combination inherits the worst (largest)
-    alpha of its terms; a composition of m factors, each rho-FNE with
-    rho = (2 - alpha)/alpha at the worst alpha, is (rho/m)-FNE, i.e.
-    2/(1 + rho/m)-relaxed FNE.  A ``declared_alpha`` set on a node overrides
+    multiplicatively); a convex combination ``sum_i w_i T_i`` is
+    (sum_i w_i alpha_i)-relaxed FNE, because each T_i is
+    ``(1 - alpha_i/2) Id + (alpha_i/2) N_i`` with N_i nonexpansive
+    (Combettes and Yamada, J. Math. Anal. Appl. 425, 2015), and the mean is
+    taken as ``max - sum_i w_i (max - alpha_i)`` so that equal alphas come
+    through exactly and it never exceeds the largest; a composition of m
+    factors, each rho-FNE with rho = (2 - alpha)/alpha at the worst alpha,
+    is (rho/m)-FNE, i.e. 2/(1 + rho/m)-relaxed FNE.  A ``declared_alpha`` set on a node overrides
     the structural rule.  Raises :class:`AlphaUnknownError` when nesting
     pushes alpha outside (0, 2].
     """
@@ -367,7 +355,7 @@ def propagate_alpha(op: Operator) -> float:
         if not 0.0 < declared <= 2.0:
             raise ValueError(f"declared_alpha must be in (0, 2], got {declared}")
         return declared
-    if isinstance(op, (HalfspaceProjection, HyperplaneProjection, BallProjection, BoxProjection, Identity)):
+    if isinstance(op, (_AffineProjection, BallProjection, BoxProjection, Identity)):
         return 1.0
     if isinstance(op, Relaxation):
         if op.lam == 0.0:
@@ -379,7 +367,9 @@ def propagate_alpha(op: Operator) -> float:
             )
         return alpha
     if isinstance(op, ConvexCombination):
-        return max(propagate_alpha(child) for _, child in op.terms)
+        alphas = [propagate_alpha(child) for _, child in op.terms]
+        top = max(alphas)
+        return top - sum(w * (top - a) for (w, _), a in zip(op.terms, alphas))
     if isinstance(op, Composition):
         alpha_max = max(propagate_alpha(child) for child in op.ops)
         rho = (2.0 - alpha_max) / alpha_max / len(op.ops)
@@ -504,42 +494,11 @@ def projection_witness_points(
     return witness
 
 
-# JSON layout: a "kind" tag plus the node's fields, children nested.
-
-_PRIMITIVE_KINDS = ("halfspace", "hyperplane", "ball", "box", "identity")
-
-
-def operator_to_json(op: Operator) -> dict:
-    """Serialize an operator expression to a JSON-compatible dict."""
-    doc: dict
-    if isinstance(op, HalfspaceProjection):
-        doc = {"kind": "halfspace", "a": op.a.tolist(), "b": op.b}
-    elif isinstance(op, HyperplaneProjection):
-        doc = {"kind": "hyperplane", "a": op.a.tolist(), "b": op.b}
-    elif isinstance(op, BallProjection):
-        doc = {"kind": "ball", "center": op.center.tolist(), "radius": op.radius}
-    elif isinstance(op, BoxProjection):
-        doc = {"kind": "box", "lo": op.lo.tolist(), "hi": op.hi.tolist()}
-    elif isinstance(op, Identity):
-        doc = {"kind": "identity", "dim": op.dim}
-    elif isinstance(op, Relaxation):
-        doc = {"kind": "relaxation", "lam": op.lam, "inner": operator_to_json(op.inner)}
-    elif isinstance(op, ConvexCombination):
-        doc = {
-            "kind": "combination",
-            "terms": [{"weight": w, "op": operator_to_json(child)} for w, child in op.terms],
-        }
-    elif isinstance(op, Composition):
-        doc = {"kind": "composition", "ops": [operator_to_json(child) for child in op.ops]}
-    else:
-        raise TypeError(f"cannot serialize operator of type {type(op).__name__}")
-    if getattr(op, "declared_alpha", None) is not None:
-        doc["alpha"] = op.declared_alpha
-    return doc
+# Config JSON layout: a "kind" tag plus the node's fields, children nested.
 
 
 def operator_from_json(doc: dict) -> Operator:
-    """Inverse of :func:`operator_to_json`."""
+    """Build an operator expression from its JSON document; ``"alpha"`` sets ``declared_alpha``."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("operator document must be an object with a 'kind' tag")
     kind = doc["kind"]

@@ -33,7 +33,6 @@ __all__ = [
     "is_fit",
     "check_admissibility",
     "simultaneous_plan",
-    "plan_to_json",
     "plan_from_json",
     "signature_str",
 ]
@@ -300,13 +299,6 @@ def simultaneous_plan(m: int, weights=None) -> StringPlan:
     if weights is None:
         weights = (1.0 / m,) * m
     return StringPlan(tuple(IndexString((i,)) for i in range(1, m + 1)), tuple(weights))
-
-
-def plan_to_json(plan: StringPlan) -> dict:
-    return {
-        "strings": [list(s.indices) for s in plan.strings],
-        "weights": list(plan.weights),
-    }
 
 
 def plan_from_json(doc: dict) -> StringPlan:

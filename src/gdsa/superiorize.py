@@ -37,7 +37,6 @@ __all__ = [
     "superiorized_run",
     "strict_fejer_monitor",
     "find_strict_fejer_k0",
-    "objective_to_json",
     "objective_from_json",
 ]
 
@@ -295,19 +294,6 @@ def find_strict_fejer_k0(
     if k0 > len(report.decrements) - 1:
         return None
     return k0
-
-
-def objective_to_json(phi: ObjectiveFunction) -> dict:
-    if isinstance(phi, L1Norm):
-        return {"kind": "l1"}
-    if isinstance(phi, WeightedSquaredNorm):
-        return {"kind": "wsqnorm", "center": phi.center.tolist(), "weight": phi.weight}
-    if isinstance(phi, MaxOfAffine):
-        return {
-            "kind": "max_affine",
-            "pieces": [{"a": a.tolist(), "b": b} for a, b in phi.pieces],
-        }
-    raise TypeError(f"cannot serialize objective of type {type(phi).__name__}")
 
 
 def objective_from_json(doc: dict) -> ObjectiveFunction:

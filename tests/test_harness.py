@@ -9,7 +9,7 @@ import pytest
 
 from conftest import simultaneous_schedule
 from gdsa.cli import main
-from gdsa.core import DEFAULT_TOLERANCES
+from gdsa.core import DEFAULT_TOLERANCES, Tolerances
 from gdsa.engine import PerturbationSchedule, RelaxationSchedule, StopRule, run
 from gdsa.harness import (
     ConfigError,
@@ -32,10 +32,12 @@ from gdsa.harness import (
 from gdsa.operators import (
     BallProjection,
     BoxProjection,
+    ConvexCombination,
     HalfspaceProjection,
     HyperplaneProjection,
     Identity,
     Relaxation,
+    propagate_alpha,
     residual,
 )
 from gdsa.strings import ControlSchedule, StringPlan, signature_str, simultaneous_plan
@@ -110,6 +112,12 @@ class TestFixedPointOracle:
         with pytest.raises(OracleIterationCapError):
             fixed_point_oracle(slow, [1.0], max_iters=10)
         assert fixed_point_oracle(slow, [1.0])[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_combination_with_a_reflection_converges(self):
+        reflection = Relaxation(HyperplaneProjection([1.0], 0.0), 2.0)
+        comb = ConvexCombination(((0.5, reflection), (0.5, BoxProjection([-1.0], [1.0]))))
+        assert propagate_alpha(comb) == 1.5
+        assert np.array_equal(fixed_point_oracle(comb, [3.0]), [0.0])
 
     def test_identity_returns_start(self):
         z = fixed_point_oracle(Identity(2), [0.3, -0.4])
@@ -242,6 +250,119 @@ class TestConfig:
         (tmp_path / "config.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_config(tmp_path / "config.json")
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (  # only the required keys: every value is its dataclass default
+                {},
+                dict(
+                    seed=0,
+                    relax=RelaxationSchedule(constant=1.0),
+                    tolerances=Tolerances(),
+                    stop=StopRule(step_tol=Tolerances().conv_tol),
+                    perturb=PerturbationSchedule(seed=0),
+                    sup=SuperiorizationSchedule(),
+                    consistent=None,
+                    known=[],
+                ),
+            ),
+            (  # the perturbation seed and the stop tolerance follow the documented keys
+                {"seed": 17, "tolerances": {"conv_tol": 1e-6}},
+                dict(
+                    seed=17,
+                    relax=RelaxationSchedule(constant=1.0),
+                    tolerances=Tolerances(conv_tol=1e-6),
+                    stop=StopRule(step_tol=1e-6),
+                    perturb=PerturbationSchedule(seed=17),
+                    sup=SuperiorizationSchedule(),
+                    consistent=None,
+                    known=[],
+                ),
+            ),
+            (  # every documented key set
+                {
+                    "problem": {**CONFIG_DOC["problem"], "consistent": False, "known_points": [[0.0]]},
+                    "relaxation": {"epsilon": 0.1, "base": 0.9, "slope": 0.5},
+                    "seed": 17,
+                    "stop": {"step_tol": 1e-6, "window": 5, "max_iters": 500},
+                    "tolerances": {
+                        "eq_tol": 1e-9,
+                        "conv_tol": 1e-7,
+                        "slack_tol": 1e-11,
+                        "subgrad_zero_tol": 1e-13,
+                    },
+                    "perturbation": {"beta0": 0.25, "decay": 0.8, "seed": 5, "directions": [[1.0]]},
+                    "superiorization": {
+                        "objective": {"kind": "l1"},
+                        "beta0": 0.3,
+                        "decay": 0.7,
+                        "steps": 3,
+                    },
+                },
+                dict(
+                    seed=17,
+                    relax=RelaxationSchedule(epsilon=0.1, base=0.9, slope=0.5),
+                    tolerances=Tolerances(1e-9, 1e-7, 1e-11, 1e-13),
+                    stop=StopRule(step_tol=1e-6, window=5, max_iters=500),
+                    perturb=PerturbationSchedule(0.25, 0.8, 5, directions=(np.array([1.0]),)),
+                    sup=SuperiorizationSchedule(beta0=0.3, decay=0.7, steps=3),
+                    consistent=False,
+                    known=[[0.0]],
+                ),
+            ),
+        ],
+        ids=["required-keys", "seed-and-conv-tol", "every-key"],
+    )
+    def test_parsed_values(self, extra, expected):
+        doc = {
+            "problem": CONFIG_DOC["problem"],
+            "schedule": CONFIG_DOC["schedule"],
+            "relaxation": {"constant": 1.0},
+            "x0": [7.3],
+            "perturbation": {},
+            "superiorization": {"objective": {"kind": "l1"}},
+            **extra,
+        }
+        perturbed = parse_config({k: v for k, v in doc.items() if k != "superiorization"})
+        superiorized = parse_config({k: v for k, v in doc.items() if k != "perturbation"})
+        for config in (perturbed, superiorized):
+            assert config.seed == expected["seed"]
+            assert config.relax == expected["relax"]
+            assert config.tolerances == expected["tolerances"]
+            assert config.stop == expected["stop"]
+            assert config.problem.consistent is expected["consistent"]
+            assert [p.tolist() for p in config.problem.known_c_points] == expected["known"]
+        assert perturbed.perturb == expected["perturb"]
+        assert perturbed.sup is None and superiorized.perturb is None
+        assert superiorized.sup == expected["sup"]
+        assert isinstance(superiorized.objective, L1Norm)
+
+    @pytest.mark.parametrize("key", ["relaxation", "stop", "tolerances", "perturbation", "superiorization"])
+    @pytest.mark.parametrize("block", [None, [], 3])
+    def test_non_object_block_raises_config_error(self, key, block):
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc[key] = block
+        with pytest.raises(ConfigError):
+            parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "relaxation, expected",
+        [
+            ({"constant": 1.5}, RelaxationSchedule(constant=1.5)),
+            ({"cycle": [1, 0.5]}, RelaxationSchedule(cycle=(1.0, 0.5))),
+            ({"base": 1}, RelaxationSchedule(base=1.0, slope=0.0)),
+            ({"constant": 1.0, "slope": 3.0}, RelaxationSchedule(constant=1.0)),
+            ({"constant": 1.0, "lam": 3.0}, RelaxationSchedule(constant=1.0)),
+        ],
+        ids=["constant", "cycle", "base-without-slope", "slope-without-base", "unknown-key"],
+    )
+    def test_relaxation_block(self, relaxation, expected):
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["relaxation"] = relaxation
+        relax = parse_config(doc).relax
+        assert relax == expected
+        assert all(type(getattr(relax, f)) in (float, type(None)) for f in ("constant", "base", "slope"))
 
     def test_config_hash_is_stable(self):
         c1 = parse_config(json.loads(json.dumps(CONFIG_DOC)))

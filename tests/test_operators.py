@@ -20,7 +20,6 @@ from gdsa.operators import (
     check_nonexpansive,
     check_rho_fne,
     operator_from_json,
-    operator_to_json,
     projection_witness_points,
     propagate_alpha,
     residual,
@@ -217,9 +216,24 @@ class TestAlphaPropagation:
         rho = (2.0 - alpha) / alpha
         assert check_rho_fne(comp, rho, SampleSpec(dim=2, seed=16)).passed
 
-    def test_combination_alpha_is_max(self):
+    def test_combination_alpha_is_weighted_mean(self):
         comb = ConvexCombination(((0.5, BALL), (0.5, Relaxation(BALL, 1.5))))
-        assert propagate_alpha(comb) == 1.5
+        assert propagate_alpha(comb) == 1.25
+        assert check_rho_fne(comb, 0.6, SampleSpec(dim=2, seed=18)).passed
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_relaxed_combination_meets_its_alpha(self, seed):
+        rng = np.random.default_rng(seed)
+        leaves = random_primitives(3, 3, seed=400 + seed)
+        comb = ConvexCombination(
+            tuple(zip(rng.dirichlet(np.ones(3)), (Relaxation(op, rng.uniform(0.2, 2.0)) for op in leaves)))
+        )
+        alpha = propagate_alpha(comb)
+        assert check_rho_fne(comb, (2.0 - alpha) / alpha, SampleSpec(dim=3, seed=seed)).passed
+
+    def test_combination_of_equal_alphas_keeps_alpha(self):
+        comb = ConvexCombination(tuple((0.1, Relaxation(BALL, 1.7)) for _ in range(10)))
+        assert propagate_alpha(comb) == propagate_alpha(Relaxation(BALL, 1.7))
 
     def test_over_relaxed_nesting_refused(self):
         with pytest.raises(AlphaUnknownError):
@@ -248,24 +262,63 @@ class TestWitness:
             FixedPointWitness(np.zeros((0, 2)))
 
 
-class TestJson:
-    def test_round_trip_preserves_behavior(self):
-        op = ConvexCombination(
-            (
-                (0.25, Relaxation(BALL, 1.5)),
-                (0.75, Composition((HalfspaceProjection(np.array([1.0, -1.0]), 0.5), BALL))),
-            )
-        )
-        doc = operator_to_json(op)
-        clone = operator_from_json(doc)
-        xs = SampleSpec(dim=2, count=100, seed=17).points()
-        assert np.array_equal(apply(op, xs), apply(clone, xs))
-        assert operator_to_json(clone) == doc
+BALL_DOC = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
 
-    def test_declared_alpha_round_trips(self):
-        op = BallProjection(np.zeros(2), 1.0, declared_alpha=2.0)
-        clone = operator_from_json(operator_to_json(op))
-        assert propagate_alpha(clone) == 2.0
+# one document of every operator kind, nested, and the tree it must build
+TREE_DOC = {
+    "kind": "combination",
+    "terms": [
+        {"weight": 0.25, "op": {"kind": "relaxation", "lam": 1.5, "inner": BALL_DOC}},
+        {
+            "weight": 0.75,
+            "op": {
+                "kind": "composition",
+                "ops": [
+                    {"kind": "halfspace", "a": [1.0, -1.0], "b": 0.5},
+                    {"kind": "hyperplane", "a": [0.5, 2.0], "b": -1.0},
+                    {"kind": "box", "lo": [-1.0, -2.0], "hi": [1.5, 0.5]},
+                    {"kind": "identity", "dim": 2},
+                    BALL_DOC,
+                ],
+            },
+        },
+    ],
+}
+TREE = ConvexCombination(
+    (
+        (0.25, Relaxation(BALL, 1.5)),
+        (
+            0.75,
+            Composition(
+                (
+                    HalfspaceProjection(np.array([1.0, -1.0]), 0.5),
+                    HyperplaneProjection(np.array([0.5, 2.0]), -1.0),
+                    BoxProjection(np.array([-1.0, -2.0]), np.array([1.5, 0.5])),
+                    Identity(2),
+                    BALL,
+                )
+            ),
+        ),
+    )
+)
+
+
+class TestJson:
+    def test_document_builds_the_hand_built_tree(self):
+        xs = SampleSpec(dim=2, count=100, seed=17).points()
+        parsed = apply(operator_from_json(TREE_DOC), xs)
+        assert parsed.tobytes() == apply(TREE, xs).tobytes()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [TREE_DOC, *(t["op"] for t in TREE_DOC["terms"]), *TREE_DOC["terms"][1]["op"]["ops"]],
+        ids=lambda doc: doc["kind"],
+    )
+    def test_alpha_key_is_declared_alpha(self, doc):
+        op = operator_from_json({**doc, "alpha": 0.5})
+        assert op.declared_alpha == 0.5
+        assert propagate_alpha(op) == 0.5
+        assert operator_from_json(doc).declared_alpha is None
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from gdsa.superiorize import (
     WeightedSquaredNorm,
     find_strict_fejer_k0,
     objective_from_json,
-    objective_to_json,
     perturbation_directions,
     strict_fejer_monitor,
     superiorized_run,
@@ -63,12 +62,17 @@ class TestObjectives:
         with pytest.raises(ValueError):
             WeightedSquaredNorm(np.zeros(2), 0.0)
 
-    def test_json_round_trip(self):
-        for phi in OBJECTIVES:
-            clone = objective_from_json(objective_to_json(phi))
-            x = np.array([0.7, -1.3])
-            assert clone.evaluate(x) == phi.evaluate(x)
-            assert np.array_equal(clone.subgradient(x), phi.subgradient(x))
+    def test_objective_documents_build_the_hand_built_objectives(self):
+        docs = [
+            {"kind": "l1"},
+            {"kind": "wsqnorm", "center": [0.5, -1.0], "weight": 2.0},
+            {"kind": "max_affine", "pieces": [{"a": [1.0, 0.0], "b": 0.0}, {"a": [-0.5, 1.0], "b": 0.3}]},
+        ]
+        for doc, phi in zip(docs, OBJECTIVES, strict=True):
+            parsed = objective_from_json(doc)
+            for x in (np.array([0.7, -1.3]), np.array([-2.0, 0.4])):
+                assert parsed.evaluate(x) == phi.evaluate(x)
+                assert np.array_equal(parsed.subgradient(x), phi.subgradient(x))
 
 
 class TestDirections:
