@@ -70,6 +70,7 @@ from .strings import (
 from .superiorize import (
     L1Norm,
     MaxOfAffine,
+    NonFiniteObjectiveError,
     ObjectiveFunction,
     SuperiorizationSchedule,
     WeightedSquaredNorm,

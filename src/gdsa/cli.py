@@ -8,8 +8,8 @@ Subcommands:
 * ``sweep <config.json> --param a.b.c --values v1,v2``  grid over one config field
 * ``oracle <config.json>``  emit target-set witnesses and constrained minimizers
 
-Exit codes: 0 success; 1 verification failure, a non-finite iterate or an
-oracle that cannot converge; 2 malformed configuration.
+Exit codes: 0 success; 1 verification failure, a non-finite iterate or
+objective, or an oracle that cannot converge; 2 malformed configuration.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .operators import (
     residual,
 )
 from .strings import check_admissibility, rho_constant, signature_str
-from .superiorize import superiorized_run
+from .superiorize import NonFiniteObjectiveError, superiorized_run
 
 __all__ = ["main"]
 
@@ -294,12 +294,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except (NonFiniteIterateError, NonFiniteObjectiveError, OracleIterationCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, RelaxationRangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteIterateError, OracleIterationCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -67,8 +67,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_vector(x) -> bool:
+    """A single float64 vector: the leaves' scalar fast paths take only these."""
+    return type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64
+
+
 class Operator:
-    """Base class for immutable operator expressions on R^dim."""
+    """Base class for immutable operator expressions on R^dim.
+
+    ``apply`` may return its argument itself (a point already in a
+    half-space, the identity), so callers must not mutate the result in place.
+    """
 
     dim: int
 
@@ -106,9 +115,17 @@ class HalfspaceProjection(_AffineProjection):
     """Metric projection onto the half-space {u : <a, u> <= b}.
 
     Points on the boundary are fixed (the positive-part factor is zero there).
+    A single vector already inside is returned as the same array.
     """
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        if _is_vector(x):
+            e = float(x @ self.a) - self.b
+            if e <= 0.0:
+                return x
+            if e > 0.0:
+                return x - (e / self._aa) * self.a
+            # e is NaN: the stacked formula below propagates it
         excess = np.maximum(0.0, x @ self.a - self.b)
         return x - (excess / self._aa)[..., None] * self.a
 
@@ -117,6 +134,8 @@ class HyperplaneProjection(_AffineProjection):
     """Metric projection onto the hyperplane {u : <a, u> = b}."""
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        if _is_vector(x):
+            return x - ((float(x @ self.a) - self.b) / self._aa) * self.a
         return x - ((x @ self.a - self.b) / self._aa)[..., None] * self.a
 
 
@@ -142,6 +161,8 @@ class BallProjection(Operator):
     def apply(self, x: np.ndarray) -> np.ndarray:
         delta = x - self.center
         d = norm(delta)
+        if _is_vector(x):
+            return self.center + (self.radius / d if d > self.radius else 1.0) * delta
         scale = np.where(d > self.radius, self.radius / np.where(d == 0.0, 1.0, d), 1.0)
         return self.center + scale[..., None] * delta
 
@@ -259,8 +280,9 @@ class ConvexCombination(Operator):
     """Weighted average ``sum_i w_i T_i`` with strictly positive weights summing to one.
 
     Two or more half-space terms in dimension >= 2 evaluate a single vector
-    through a stacked kernel (``_HalfspaceFamily``) equal to the sum below bit
-    for bit; stacks of vectors and every other mix of terms use the sum.
+    without a zero coordinate through a stacked kernel (``_HalfspaceFamily``)
+    equal to the sum below bit for bit; stacks of vectors, vectors with a zero
+    coordinate and every other mix of terms use the sum.
     """
 
     terms: tuple[tuple[float, Operator], ...]
@@ -284,7 +306,9 @@ class ConvexCombination(Operator):
         return self.terms[0][1].dim
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self._halfspaces is not None and np.ndim(x) == 1:
+        # a zero coordinate goes to the tree: the kernel's x - 0.0 * a turns
+        # -0.0 into +0.0 where a_j < 0, a leaf's inside exit keeps it
+        if self._halfspaces is not None and _is_vector(x) and x.all():
             return self._halfspaces.apply(x)
         out = self.terms[0][0] * self.terms[0][1].apply(x)
         for w, op in self.terms[1:]:

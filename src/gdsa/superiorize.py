@@ -27,6 +27,7 @@ from .engine import IterationTrace, RelaxationSchedule, StopRule, _run_loop
 from .strings import ControlSchedule
 
 __all__ = [
+    "NonFiniteObjectiveError",
     "ObjectiveFunction",
     "WeightedSquaredNorm",
     "L1Norm",
@@ -39,6 +40,10 @@ __all__ = [
     "find_strict_fejer_k0",
     "objective_from_json",
 ]
+
+
+class NonFiniteObjectiveError(ValueError):
+    """The objective or its subgradient selection went non-finite during a run."""
 
 
 class ObjectiveFunction(abc.ABC):
@@ -188,11 +193,11 @@ def perturbation_directions(
     dirs: list[np.ndarray] = []
     for beta in betas:
         if not math.isfinite(phi.evaluate(point)):
-            raise ValueError("objective evaluated to a non-finite value")
+            raise NonFiniteObjectiveError("objective evaluated to a non-finite value")
         s = phi.subgradient(point)
         ns = norm(s)
         if not math.isfinite(ns):
-            raise ValueError("subgradient selection is non-finite")
+            raise NonFiniteObjectiveError("subgradient selection is non-finite")
         v = np.zeros_like(point) if ns <= tolerances.subgrad_zero_tol else -s / ns
         dirs.append(v)
         point = point + beta * v

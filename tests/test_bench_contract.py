@@ -12,6 +12,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gdsa
@@ -75,3 +76,33 @@ def test_tracer_installs_and_restores():
     finally:
         tracing.restore(originals)
     assert all(owner.__dict__[name] is fn for (owner, name), fn in before.items())
+
+
+@pytest.mark.parametrize("shape", ["contiguous", "interleaved", "art"])
+def test_string_step_calls_each_halfspace_leaf_once(monkeypatch, shape):
+    # `operators.leaf.calls.halfspace` counts these calls: 100 per step of a
+    # 100-row string plan, 10 000 per `strings` solve.  A fused string kernel
+    # that skips the leaves would read 0 there without a span of its own.
+    m, n = 100, 20
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((m, n))
+    sets = tuple(gdsa.HalfspaceProjection(a[i], 0.0) for i in range(m))
+    strings = {
+        "contiguous": tuple(tuple(range(25 * j + 1, 25 * j + 26)) for j in range(4)),
+        "interleaved": tuple(tuple(range(j + 1, m + 1, 4)) for j in range(4)),
+        "art": (tuple(range(1, m + 1)),),
+    }[shape]
+    plan = gdsa.StringPlan(strings, (1.0 / len(strings),) * len(strings))
+    schedule = gdsa.ControlSchedule(operators=sets, cycle=(plan,))
+    leaf_apply = gdsa.HalfspaceProjection.__dict__["apply"]
+    calls = []
+
+    def counting(self, x):
+        calls.append(1)
+        return leaf_apply(self, x)
+
+    monkeypatch.setattr(gdsa.HalfspaceProjection, "apply", counting)
+    trace = gdsa.run(schedule, gdsa.RelaxationSchedule(epsilon=0.05, constant=0.9),
+                     5.0 * rng.standard_normal(n), stop=gdsa.StopRule(step_tol=1e-300, window=1, max_iters=1))
+    assert trace.iterations == 1
+    assert len(calls) == m

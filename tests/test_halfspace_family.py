@@ -60,7 +60,18 @@ def test_stacked_kernel_matches_tree_bitwise(m, n, seed):
     on_boundary = ConvexCombination(
         terms[:j] + ((terms[j][0], HalfspaceProjection(leaf.a, float(outside @ leaf.a))),) + terms[j + 1:]
     )
-    for family, x in ((op, z), (op, outside), (on_boundary, outside)):
+    # inside every halfspace with x_c = -0.0 and a negative normal entry in
+    # column c: the leaves keep -0.0 there, while x - 0.0 * a would give +0.0
+    signed_zero = z.copy()
+    c = int(rng.integers(n))
+    signed_zero[c] = -0.0
+    a_j = leaf.a.copy()
+    a_j[c] = -abs(a_j[c]) - 0.5
+    zero_terms = tuple(
+        (w, HalfspaceProjection(a_j if i == j else t.a, float(signed_zero @ (a_j if i == j else t.a)) + 1.0))
+        for i, (w, t) in enumerate(terms)
+    )
+    for family, x in ((op, z), (op, outside), (on_boundary, outside), (ConvexCombination(zero_terms), signed_zero)):
         assert same_bits(family.apply(x), tree_sum(family.terms, x))
         assert same_bits(apply(family, x), tree_sum(family.terms, x))
 

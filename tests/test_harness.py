@@ -529,6 +529,22 @@ class TestCli:
         assert main(["run", str(bad), "--quiet"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_non_finite_objective_exits_1(self, tmp_path, capsys):
+        # a valid config whose objective overflows at x0: a failed run, not a malformed config
+        doc = {
+            "problem": {"dim": 2, "sets": [{"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}]},
+            "schedule": {"cycle": [{"strings": [[1]], "weights": [1.0]}]},
+            "relaxation": {"epsilon": 0.05, "constant": 1.0},
+            "superiorization": {"objective": {"kind": "wsqnorm", "center": [0.0, 0.0], "weight": 1e300}},
+            "x0": [1e10, 1e10],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        parse_config(doc)  # the config itself is well formed
+        with np.errstate(over="ignore"):
+            assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_oracle_emits_feasible_point_for_consistent_problem(self, tmp_path, capsys):
         doc = {
             "problem": {

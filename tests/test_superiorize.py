@@ -13,6 +13,8 @@ from gdsa.operators import residual
 from gdsa.superiorize import (
     L1Norm,
     MaxOfAffine,
+    NonFiniteObjectiveError,
+    ObjectiveFunction,
     SuperiorizationSchedule,
     WeightedSquaredNorm,
     find_strict_fejer_k0,
@@ -118,6 +120,21 @@ class TestDirections:
     def test_betas_length_checked(self):
         with pytest.raises(ValueError):
             perturbation_directions(np.array([1.0]), L1Norm(), 2, [0.1])
+
+    def test_non_finite_objective_raises_typed_error(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteObjectiveError, match="objective"):
+            perturbation_directions(np.array([1e10]), WeightedSquaredNorm(np.zeros(1), 1e300), 1, [0.1])
+
+        class InfiniteSlope(ObjectiveFunction):
+            def evaluate(self, x):
+                return 0.0
+
+            def subgradient(self, x):
+                return np.full_like(x, np.inf)
+
+        with pytest.raises(NonFiniteObjectiveError, match="subgradient"):
+            perturbation_directions(np.array([1.0]), InfiniteSlope(), 1, [0.1])
+        assert issubclass(NonFiniteObjectiveError, ValueError)
 
 
 class TestSchedule:
