@@ -99,26 +99,30 @@ def _grid_for(config: ExperimentConfig) -> GridSpec:
     return GridSpec(low=-reach, high=reach, points=41)
 
 
+def _certified_fejer(config: ExperimentConfig, trace=None):
+    """The Fejér report of an unperturbed run against a certified target point,
+    or None when there is none.  The witness is sought first: without ``trace``
+    the run starts only once a witness exists."""
+    witness_point = certified_c_witness(config.schedule, config.x0, config.tolerances)
+    if witness_point is None:
+        return None
+    if trace is None:
+        trace = run(config.schedule, config.relax, config.x0, stop=config.stop)
+    witness = FixedPointWitness(witness_point[None, :])
+    rho = rho_constant(config.schedule)
+    return fejer_monitor(trace, witness, config.relax.epsilon, rho, config.tolerances)
+
+
 def _run_outputs(config: ExperimentConfig, out_dir: Path, quiet: bool) -> dict:
     trace = _execute(config)
-    fejer_slacks = None
-    min_slack = None
+    fejer = None
     if config.problem.dim <= 3 and config.perturb is None and config.sup is None:
-        witness_point = certified_c_witness(config.schedule, config.x0, config.tolerances)
-        if witness_point is not None:
-            report = fejer_monitor(
-                trace,
-                FixedPointWitness(witness_point[None, :]),
-                config.relax.epsilon,
-                rho_constant(config.schedule),
-                config.tolerances,
-            )
-            fejer_slacks = report.per_step_min
-            min_slack = report.min_slack
+        fejer = _certified_fejer(config, trace)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.json"
-    write_trace_csv(trace, csv_path, fejer_slack_min=fejer_slacks)
+    slacks, min_slack = (None, None) if fejer is None else (fejer.per_step_min, fejer.min_slack)
+    write_trace_csv(trace, csv_path, fejer_slack_min=slacks)
     summary = write_summary_json(summary_path, config, trace, fejer_min_slack=min_slack)
     if not quiet:
         print(f"wrote {csv_path} and {summary_path}")
@@ -155,7 +159,11 @@ def _cmd_verify(args) -> int:
         report(f"set {i}: nonexpansive", ne.passed, f"max_violation={ne.max_violation:.3e}")
         fne = check_rho_fne(proj, 1.0, sample, tol)
         report(f"set {i}: firmly nonexpansive", fne.passed, f"max_violation={fne.max_violation:.3e}")
-        witness = projection_witness_points(proj, tolerances=tol)
+        try:
+            witness = projection_witness_points(proj, tolerances=tol)
+        except ValueError as exc:  # not idempotent: its images are not fixed points
+            report(f"set {i}: cutter", False, str(exc))
+            continue
         cut = check_cutter(proj, witness, sample, tol)
         report(f"set {i}: cutter", cut.passed, f"max_violation={cut.max_violation:.3e}")
 
@@ -187,15 +195,11 @@ def _cmd_verify(args) -> int:
         report("relaxation schedule within range", False, str(exc))
         return 1 if failures else 0
 
-    witness_point = certified_c_witness(config.schedule, config.x0, tol)
-    if witness_point is None:
+    fejer = _certified_fejer(config)
+    if fejer is None:
         report("fejer monitor", True, "skipped: no certified witness at this scale")
     else:
-        trace = run(config.schedule, config.relax, config.x0, stop=config.stop)
-        fj = fejer_monitor(
-            trace, FixedPointWitness(witness_point[None, :]), config.relax.epsilon, rho, tol
-        )
-        report("fejer monitor", fj.passed, f"min_slack={fj.min_slack:.3e}")
+        report("fejer monitor", fejer.passed, f"min_slack={fejer.min_slack:.3e}")
 
     return 1 if failures else 0
 

@@ -175,7 +175,7 @@ class IterationTrace:
 
     ``iterates`` has one more row than the step-indexed arrays; row k is the
     iterate before step k.  ``perturbations`` holds the aggregate shift added
-    before the operator was applied at each step (zeros when unperturbed).
+    before the operator was applied at each step (None when unperturbed).
     Superiorized runs additionally fill ``phi_values`` (one per iterate) and
     ``perturb_budget_remaining`` (one per step).
     """
@@ -184,7 +184,7 @@ class IterationTrace:
     step_norms: np.ndarray
     lambdas: np.ndarray
     plan_signatures: tuple[PlanSignature, ...]
-    perturbations: np.ndarray
+    perturbations: Optional[np.ndarray]
     converged: bool
     phi_values: Optional[np.ndarray] = None
     perturb_budget_remaining: Optional[np.ndarray] = None
@@ -221,7 +221,7 @@ def _run_loop(
     """Shared driver for plain, perturbed, and superiorized runs.
 
     ``shift_at(k, x)`` returns the shift added to x before step k; without it
-    every step is unperturbed and the recorded perturbations are zero.
+    every step is unperturbed and the trace records no perturbations (None).
     Each step is :func:`gdsa_step` without its per-call conversion and
     dimension check: x0 passed ``as_vector``, and operators keep the dimension.
     """
@@ -265,16 +265,12 @@ def _run_loop(
             converged = True
             break
 
-    if shift_at is None:
-        perturbations = np.zeros((len(step_norms), schedule.dim))
-    else:
-        perturbations = np.asarray(shifts, dtype=float)
     return IterationTrace(
         iterates=np.asarray(iterates),
         step_norms=np.asarray(step_norms),
         lambdas=np.asarray(lambdas),
         plan_signatures=tuple(signatures),
-        perturbations=perturbations,
+        perturbations=None if shift_at is None else np.asarray(shifts, dtype=float),
         converged=converged,
     )
 
@@ -289,9 +285,9 @@ def run(
     """Run the iteration from x0 until the stop rule fires or max_iters.
 
     With ``perturb`` given, step k applies the relaxed operator at
-    ``x_k + beta_k * v_k`` (perturbation before the operator).  The
-    relaxation schedule is validated against the schedule's rho before any
-    step is taken.
+    ``x_k + beta_k * v_k`` (perturbation before the operator); without it
+    ``trace.perturbations`` is None.  The relaxation schedule is validated
+    against the schedule's rho before any step is taken.
     """
     shift_at = None
     if perturb is not None:

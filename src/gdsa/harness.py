@@ -272,20 +272,18 @@ def certified_c_witness(
     schedule: ControlSchedule,
     x0,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    residual_bound: Optional[float] = None,
 ) -> Optional[np.ndarray]:
     """A point fixed by every distinct scheduled averaged operator, or None.
 
     Found by plain iteration of one averaged operator and certified by
-    checking its residual under all the others.
+    checking its residual, at most 10 * conv_tol, under all the others.
     """
     ops = list(schedule.distinct_operators().values())
     try:
         z = fixed_point_oracle(ops[0], x0, tolerances, max_iters=1_000_000)
     except OracleIterationCapError:
         return None
-    bound = residual_bound if residual_bound is not None else 10.0 * tolerances.conv_tol
-    if all(residual(op, z) <= bound for op in ops):
+    if all(residual(op, z) <= 10.0 * tolerances.conv_tol for op in ops):
         return z
     return None
 
@@ -543,7 +541,8 @@ def write_trace_csv(
     """Persist a trace with 17-significant-digit decimals (byte-reproducible).
 
     Row k holds iterate k; the step-indexed columns are empty on the final
-    row.  Superiorized traces gain phi_value and budget columns.
+    row.  perturb_norm is 0 throughout for a trace without perturbations.
+    Superiorized traces gain phi_value and budget columns.
     """
     dim = trace.iterates.shape[-1]
     header = ["k"] + [f"x{i}" for i in range(dim)]
@@ -551,11 +550,12 @@ def write_trace_csv(
     n = trace.iterations
     labels = {sig: signature_str(sig) for sig in set(trace.plan_signatures)}
     slacks = [""] * n if fejer_slack_min is None else ["%.17g" % v for v in fejer_slack_min.tolist()]
+    shifts = trace.perturbations
     columns = zip(
         trace.step_norms.tolist(),
         trace.lambdas.tolist(),
         [labels[sig] for sig in trace.plan_signatures],
-        norm(np.reshape(trace.perturbations, (n, dim))).tolist(),
+        [0.0] * n if shifts is None else norm(np.reshape(shifts, (n, dim))).tolist(),
         slacks,
         strict=True,
     )

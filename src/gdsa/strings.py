@@ -238,8 +238,7 @@ class AdmissibilityReport:
     schedule restarted after the preamble (always true here), with ``k0`` the
     restart index.  ``gap_bounds`` maps each recurring signature to a valid
     recurrence gap (preamble length + cycle length, coarse but always valid);
-    ``tight_gap_bounds`` holds the minimal gaps when the cycle is short enough
-    to scan.
+    ``tight_gap_bounds`` holds the minimal gaps when the schedule is admissible.
     """
 
     admissible: bool
@@ -254,17 +253,15 @@ class AdmissibilityReport:
 def _tight_gaps(
     pre: list[PlanSignature], cyc: list[PlanSignature], limsup: list[PlanSignature]
 ) -> dict[PlanSignature, int]:
-    """Minimal valid recurrence gap per signature, by scanning one preamble + two periods."""
-    horizon = list(pre) + cyc * 2
-    p, length = len(pre), len(cyc)
-    out: dict[PlanSignature, int] = {}
-    for sig in limsup:
-        worst = 1
-        for k in range(p + length):  # beyond p the sequence is periodic
-            nxt = next(i for i in range(k, len(horizon)) if horizon[i] == sig)
-            worst = max(worst, nxt - k + 1)
-        out[sig] = worst
-    return out
+    """Minimal valid recurrence gap per signature: over one preamble + two
+    periods (which show every distance of the periodic tail), the largest of its
+    first position + 1 and the distances between consecutive occurrences."""
+    gaps: dict[PlanSignature, int] = {}
+    last: dict[PlanSignature, int] = {}
+    for i, sig in enumerate(pre + cyc * 2):
+        gaps[sig] = max(gaps.get(sig, 0), i - last.get(sig, -1))
+        last[sig] = i
+    return {sig: gaps[sig] for sig in limsup}
 
 
 def check_admissibility(schedule: ControlSchedule) -> AdmissibilityReport:
@@ -282,7 +279,7 @@ def check_admissibility(schedule: ControlSchedule) -> AdmissibilityReport:
     admissible = violating is None
     bound = len(pre) + len(cyc)
     gap_bounds = {sig: bound for sig in limsup}
-    tight = _tight_gaps(pre, cyc, limsup) if admissible and len(cyc) <= 64 else None
+    tight = _tight_gaps(pre, cyc, limsup) if admissible else None
     return AdmissibilityReport(
         admissible=admissible,
         limsup_set=tuple(limsup),

@@ -63,12 +63,16 @@ def test_operator_for_reads_the_plan_cache():
     assert len(schedule._op_cache) == 1
 
 
-def test_tracer_installs_and_restores():
+def import_tracing():
     sys.path.insert(0, str(BENCH))
     try:
-        tracing = importlib.import_module("tracing")
+        return importlib.import_module("tracing")
     finally:
         sys.path.remove(str(BENCH))
+
+
+def test_tracer_installs_and_restores():
+    tracing = import_tracing()
     before = {(owner, name): owner.__dict__[name] for owner, name in WRAPPED}
     originals = tracing.install(tracing.Tracer(), gdsa, gdsa.cli)
     try:
@@ -76,6 +80,25 @@ def test_tracer_installs_and_restores():
     finally:
         tracing.restore(originals)
     assert all(owner.__dict__[name] is fn for (owner, name), fn in before.items())
+
+
+def test_traced_unperturbed_run_counts_trace_bytes():
+    tracing = import_tracing()
+    tracer = tracing.Tracer()
+    schedule = gdsa.ControlSchedule(
+        operators=(gdsa.BoxProjection([-3.0], [-1.0]), gdsa.BoxProjection([1.0], [3.0])),
+        cycle=(gdsa.simultaneous_plan(2),),
+    )
+    relax = gdsa.RelaxationSchedule(epsilon=0.05, constant=1.0)
+    originals = tracing.install(tracer, gdsa, gdsa.cli)
+    try:
+        trace = gdsa.run(schedule, relax, [7.3], stop=gdsa.StopRule(step_tol=1e-8))
+    finally:
+        tracing.restore(originals)
+    assert trace.perturbations is None
+    stored = trace.iterates.nbytes + trace.step_norms.nbytes + trace.lambdas.nbytes
+    assert tracer.counters[("", "engine.trace_bytes")] == stored
+    assert tracer.counters[("", "engine.run.steps")] == trace.iterations
 
 
 @pytest.mark.parametrize("shape", ["contiguous", "interleaved", "art"])

@@ -92,6 +92,18 @@ class TestRelaxationSchedule:
         with pytest.raises(RelaxationRangeError):
             RelaxationSchedule(epsilon=0.05, base=1.0, slope=1.0).validate(1.0)
 
+    def test_every_cycle_value_validated_before_any_step(self, interval_schedule, monkeypatch):
+        eps = 0.05
+        RelaxationSchedule(epsilon=eps, cycle=(eps, 1.0, 2.0 - eps)).validate(1.0)
+        bad = RelaxationSchedule(epsilon=eps, cycle=(0.5, 1.0, 2.0 - eps + 1e-6))
+        with pytest.raises(RelaxationRangeError, match="outside"):
+            bad.validate(1.0)
+        steps = []
+        monkeypatch.setattr(ControlSchedule, "plan_at", lambda _self, k: steps.append(k))
+        with pytest.raises(RelaxationRangeError):
+            run(interval_schedule, bad, [7.3])
+        assert steps == []
+
 
 class TestRun:
     @pytest.mark.parametrize("x0", [-10.0, 0.5, 7.3])
@@ -112,8 +124,7 @@ class TestRun:
         assert len(trace.iterates) == trace.iterations + 1
         assert len(trace.lambdas) == trace.iterations
         assert len(trace.plan_signatures) == trace.iterations
-        assert trace.perturbations.shape == (trace.iterations, 1)
-        assert np.all(trace.perturbations == 0.0)
+        assert trace.perturbations is None  # an unperturbed run records no shifts
 
     def test_out_of_range_relaxation_rejected_before_iterating(self, interval_schedule):
         bad = RelaxationSchedule(epsilon=0.05, constant=2.0)  # 1 + rho = 2 itself is out
@@ -229,6 +240,8 @@ class TestRunLoopEqualsGdsaStep:
         assert trace.plan_signatures == tuple(schedule.plan_at(k).signature() for k in range(trace.iterations))
         if perturbed:
             assert trace.perturbations.tobytes() == shifts.tobytes()
+        else:
+            assert trace.perturbations is None
 
     @pytest.mark.parametrize("lam", [1.0, 0.7, 1.5])
     def test_superiorized_run(self, lam):

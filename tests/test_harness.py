@@ -387,7 +387,7 @@ def reference_trace_csv(trace, fejer_slack_min=None) -> bytes:
     for k in range(n + 1):
         row = [str(k)] + [fmt(v) for v in trace.iterates[k]]
         if k < n:
-            p = trace.perturbations[k]
+            p = trace.perturbations[k] if trace.perturbations is not None else np.zeros(dim)
             row += [
                 fmt(trace.step_norms[k]),
                 fmt(trace.lambdas[k]),
@@ -450,6 +450,15 @@ class TestTraceCsvBytes:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path, fejer_slack_min=slacks)
         assert path.read_bytes() == reference_trace_csv(trace, slacks)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_unperturbed_trace_writes_zero_shift_norms(self, tmp_path, dim):
+        trace = mixed_trace("plain", dim)
+        assert trace.perturbations is None
+        zeros = replace(trace, perturbations=np.zeros((trace.iterations, dim)))
+        write_trace_csv(trace, tmp_path / "none.csv")
+        write_trace_csv(zeros, tmp_path / "zeros.csv")
+        assert (tmp_path / "none.csv").read_bytes() == (tmp_path / "zeros.csv").read_bytes()
 
 
 class TestPersistence:
@@ -625,6 +634,37 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 1
         assert "limsup-admissible" in capsys.readouterr().out
+
+    def test_verify_reports_a_set_that_is_not_idempotent(self, tmp_path, capsys):
+        # a half-relaxed projection is a valid operator, but its images are not fixed points
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["problem"]["sets"][0] = {
+            "kind": "relaxation",
+            "lam": 0.5,
+            "inner": {"kind": "box", "lo": [-3.0], "hi": [-1.0]},
+        }
+        path = tmp_path / "relaxed_set.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] set 1: cutter  witness point is not fixed" in out
+        assert "[ok  ] set 2: cutter" in out and "fejer monitor" in out
+
+    def test_max_iters_override_stops_the_run(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(config_file), "--out", str(out), "--max-iters", "3", "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["iters"] == 3 and summary["converged"] is False
+        assert len((out / "trace.csv").read_text().splitlines()) == 3 + 2  # header + 4 iterates
+
+    @pytest.mark.parametrize(
+        "override",
+        [["--max-iters", "0"], ["--tol", "1e-11"]],  # the tol would fall below eq_tol 1e-10
+        ids=["max_iters_0", "tol_below_eq_tol"],
+    )
+    def test_invalid_override_exits_2(self, config_file, tmp_path, override):
+        assert main(["run", str(config_file), "--out", str(tmp_path / "out"), "--quiet", *override]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_perturbed_run(self, tmp_path):
         doc = json.loads(json.dumps(CONFIG_DOC))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gdsa.core import DEFAULT_TOLERANCES, SampleSpec
 from gdsa.operators import (
@@ -186,6 +187,22 @@ class TestFit:
 
 PLAN_A = plan_of((1,), (2,))
 PLAN_B = plan_of((1, 2), weights=(1.0,))
+PLAN_C = plan_of((2, 1), weights=(1.0,))
+
+
+def scanned_tight_gaps(pre, cyc, limsup):
+    """Quadratic reference: from every start in one preamble + one period,
+    the length of the window up to the next occurrence, maximised."""
+    horizon = list(pre) + cyc * 2
+    p, length = len(pre), len(cyc)
+    out = {}
+    for sig in limsup:
+        worst = 1
+        for k in range(p + length):
+            nxt = next(i for i in range(k, len(horizon)) if horizon[i] == sig)
+            worst = max(worst, nxt - k + 1)
+        out[sig] = worst
+    return out
 
 
 class TestAdmissibility:
@@ -214,6 +231,27 @@ class TestAdmissibility:
         assert report.gap_bounds[PLAN_B.signature()] == 3
         assert report.tight_gap_bounds[PLAN_B.signature()] == 3
         assert report.tight_gap_bounds[PLAN_A.signature()] <= 3
+
+    def test_long_cycle_gets_exact_gaps(self):
+        # 65 plans: one B, then 64 A; B recurs only once per period
+        sched = ControlSchedule(operators=(P_A, P_B), cycle=(PLAN_B,) + (PLAN_A,) * 64)
+        report = check_admissibility(sched)
+        assert report.tight_gap_bounds == {PLAN_B.signature(): 65, PLAN_A.signature(): 2}
+        assert report.gap_bounds == {PLAN_B.signature(): 65, PLAN_A.signature(): 65}
+
+    @given(
+        st.lists(st.sampled_from([PLAN_A, PLAN_B, PLAN_C]), max_size=6),
+        st.lists(st.sampled_from([PLAN_A, PLAN_B, PLAN_C]), min_size=1, max_size=9),
+    )
+    def test_tight_gaps_match_the_scan(self, preamble, cycle):
+        sched = ControlSchedule(operators=(P_A, P_B), cycle=tuple(cycle), preamble=tuple(preamble))
+        report = check_admissibility(sched)
+        if not report.admissible:
+            assert report.tight_gap_bounds is None
+            return
+        pre = [plan.signature() for plan in preamble]
+        cyc = [plan.signature() for plan in cycle]
+        assert report.tight_gap_bounds == scanned_tight_gaps(pre, cyc, list(report.limsup_set))
 
     def test_empty_preamble_always_admissible(self):
         for cycle in [(PLAN_A,), (PLAN_B, PLAN_B), (PLAN_A, PLAN_B, PLAN_A)]:
