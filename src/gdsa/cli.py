@@ -49,9 +49,7 @@ from .harness import (
 from .core import SampleSpec
 from .operators import (
     FixedPointWitness,
-    check_cutter,
-    check_nonexpansive,
-    check_rho_fne,
+    _Draw,
     projection_witness_points,
     propagate_alpha,
     residual,
@@ -153,18 +151,20 @@ def _cmd_verify(args) -> int:
         if not args.quiet or not passed:
             print(f"[{status}] {name}" + (f"  {detail}" if detail else ""))
 
-    sample = SampleSpec(dim=config.problem.dim, seed=config.seed)
+    # one draw for every check; each operator is applied once to each half
+    draw = _Draw(SampleSpec(dim=config.problem.dim, seed=config.seed))
     for i, proj in enumerate(config.problem.projectors, start=1):
-        ne = check_nonexpansive(proj, sample, tol)
+        tx, ty = draw.images(proj)
+        ne = draw.nonexpansive(tx, ty, tol)
         report(f"set {i}: nonexpansive", ne.passed, f"max_violation={ne.max_violation:.3e}")
-        fne = check_rho_fne(proj, 1.0, sample, tol)
+        fne = draw.rho_fne(tx, ty, 1.0, tol)
         report(f"set {i}: firmly nonexpansive", fne.passed, f"max_violation={fne.max_violation:.3e}")
         try:
             witness = projection_witness_points(proj, tolerances=tol)
         except ValueError as exc:  # not idempotent: its images are not fixed points
             report(f"set {i}: cutter", False, str(exc))
             continue
-        cut = check_cutter(proj, witness, sample, tol)
+        cut = draw.cutter(tx, witness, tol)
         report(f"set {i}: cutter", cut.passed, f"max_violation={cut.max_violation:.3e}")
 
     adm = check_admissibility(config.schedule)
@@ -177,11 +177,12 @@ def _cmd_verify(args) -> int:
     rho = rho_constant(config.schedule)
     for sig, op in config.schedule.distinct_operators().items():
         label = signature_str(sig)
-        ne = check_nonexpansive(op, sample, tol)
+        tx, ty = draw.images(op)
+        ne = draw.nonexpansive(tx, ty, tol)
         report(f"plan {label}: nonexpansive", ne.passed, f"max_violation={ne.max_violation:.3e}")
         alpha = propagate_alpha(op)
         rho_op = (2.0 - alpha) / alpha
-        fne = check_rho_fne(op, rho_op, sample, tol)
+        fne = draw.rho_fne(tx, ty, rho_op, tol)
         report(
             f"plan {label}: {rho_op:g}-firmly nonexpansive",
             fne.passed,

@@ -217,16 +217,22 @@ def fixed_point_oracle(
             "plain iteration need not converge for alpha >= 2 (a reflection)"
         )
     x = np.asarray(x0, dtype=float)
+    tol = tolerances.conv_tol / 100.0
     if x.ndim == 1:
         x = as_vector(x, dim=op.dim)
-    tol = tolerances.conv_tol / 100.0
-    for _ in range(max_iters):
-        tx = apply(op, x)
-        done = norm(tx - x) <= tol
-        if np.all(done):
-            return tx
-        # a finished row stays put, so its image is recomputed unchanged
-        x = np.where(np.expand_dims(done, -1), x, tx)
+        for _ in range(max_iters):
+            tx = apply(op, x)
+            if norm(tx - x) <= tol:
+                return tx
+            x = tx
+    else:
+        for _ in range(max_iters):
+            tx = apply(op, x)
+            done = norm(tx - x) <= tol
+            if np.all(done):
+                return tx
+            # a finished row stays put, so its image is recomputed unchanged
+            x = np.where(np.expand_dims(done, -1), x, tx)
     raise OracleIterationCapError(f"no fixed point within {max_iters} plain iterations")
 
 

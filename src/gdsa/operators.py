@@ -443,18 +443,61 @@ class CheckReport:
         return self.passed
 
 
+class _Draw:
+    """One seeded draw that every sampled check reads, and its operator-independent terms.
+
+    ``gdsa verify`` draws once, applies each operator once to ``xs`` and once
+    to ``ys`` (``images``), and hands those images to the nonexpansive,
+    rho-FNE and cutter checks.  ``SampleSpec.points()`` equals
+    ``pairs()[0]`` bit for bit, so the cutter check reads the points it
+    would draw alone.  ``pairs=False`` draws only ``xs``, for the cutter.
+    """
+
+    def __init__(self, spec: SampleSpec, pairs: bool = True) -> None:
+        self.count = spec.count
+        if pairs:
+            self.xs, self.ys = spec.pairs()
+            diff = self.xs - self.ys
+            self.dist = norm(diff)
+            self.sq_dist = np.sum(diff ** 2, axis=-1)
+        else:
+            self.xs, self.ys = spec.points(), None
+
+    def images(self, op: Operator) -> tuple[np.ndarray, np.ndarray]:
+        return apply(op, self.xs), apply(op, self.ys)
+
+    def nonexpansive(self, tx, ty, tolerances: Tolerances) -> CheckReport:
+        viol = norm(tx - ty) - self.dist
+        worst = float(np.max(viol))
+        return CheckReport("nonexpansive", worst <= tolerances.slack_tol, worst, self.count)
+
+    def rho_fne(self, tx, ty, rho: float, tolerances: Tolerances) -> CheckReport:
+        lhs = np.sum((tx - ty) ** 2, axis=-1)
+        gap = np.sum(((self.xs - tx) - (self.ys - ty)) ** 2, axis=-1)
+        viol = lhs - (self.sq_dist - rho * gap)
+        worst = float(np.max(viol))
+        return CheckReport(
+            f"rho_fne(rho={rho:g})", worst <= tolerances.slack_tol, worst, self.count
+        )
+
+    def cutter(self, tx, witness: FixedPointWitness, tolerances: Tolerances) -> CheckReport:
+        step = self.xs - tx
+        worst = -np.inf
+        for z in witness.points:
+            worst = max(worst, float(np.max(np.sum((z - tx) * step, axis=-1))))
+        return CheckReport(
+            "cutter", worst <= tolerances.slack_tol, worst, self.count * len(witness.points)
+        )
+
+
 def check_nonexpansive(
     op: Operator,
     samples: SampleSpec | None = None,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckReport:
     """Sample the nonexpansiveness inequality ||T(x) - T(y)|| <= ||x - y||."""
-    samples = samples or SampleSpec(dim=op.dim)
-    xs, ys = samples.pairs()
-    tx, ty = apply(op, xs), apply(op, ys)
-    viol = norm(tx - ty) - norm(xs - ys)
-    worst = float(np.max(viol))
-    return CheckReport("nonexpansive", worst <= tolerances.slack_tol, worst, samples.count)
+    draw = _Draw(samples or SampleSpec(dim=op.dim))
+    return draw.nonexpansive(*draw.images(op), tolerances)
 
 
 def check_rho_fne(
@@ -469,16 +512,8 @@ def check_rho_fne(
     """
     if rho < 0.0:
         raise ValueError("rho must be nonnegative")
-    samples = samples or SampleSpec(dim=op.dim)
-    xs, ys = samples.pairs()
-    tx, ty = apply(op, xs), apply(op, ys)
-    lhs = np.sum((tx - ty) ** 2, axis=-1)
-    gap = np.sum(((xs - tx) - (ys - ty)) ** 2, axis=-1)
-    viol = lhs - (np.sum((xs - ys) ** 2, axis=-1) - rho * gap)
-    worst = float(np.max(viol))
-    return CheckReport(
-        f"rho_fne(rho={rho:g})", worst <= tolerances.slack_tol, worst, samples.count
-    )
+    draw = _Draw(samples or SampleSpec(dim=op.dim))
+    return draw.rho_fne(*draw.images(op), rho, tolerances)
 
 
 def check_cutter(
@@ -488,15 +523,8 @@ def check_cutter(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckReport:
     """Sample the cutter inequality <z - T(x), x - T(x)> <= 0 over witness points z."""
-    samples = samples or SampleSpec(dim=op.dim)
-    xs = samples.points()
-    tx = apply(op, xs)
-    worst = -np.inf
-    for z in witness.points:
-        worst = max(worst, float(np.max(np.sum((z - tx) * (xs - tx), axis=-1))))
-    return CheckReport(
-        "cutter", worst <= tolerances.slack_tol, worst, samples.count * len(witness.points)
-    )
+    draw = _Draw(samples or SampleSpec(dim=op.dim), pairs=False)
+    return draw.cutter(apply(op, draw.xs), witness, tolerances)
 
 
 def projection_witness_points(
