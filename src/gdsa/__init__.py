@@ -20,7 +20,6 @@ from .engine import (
     fejer_monitor,
     gdsa_step,
     run,
-    step_norm_decay,
 )
 from .harness import (
     ConfigError,

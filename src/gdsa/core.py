@@ -84,8 +84,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("eq_tol", "conv_tol", "slack_tol", "subgrad_zero_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"Tolerances.{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"Tolerances.{name} must be finite and strictly positive")
         if not (self.slack_tol <= self.eq_tol <= self.conv_tol):
             raise ValueError("required: slack_tol <= eq_tol <= conv_tol")
 

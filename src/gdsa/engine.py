@@ -32,12 +32,10 @@ __all__ = [
     "StopRule",
     "IterationTrace",
     "FejerReport",
-    "StepDecayReport",
     "DistanceDecayReport",
     "gdsa_step",
     "run",
     "fejer_monitor",
-    "step_norm_decay",
     "distance_decay_diagnostic",
 ]
 
@@ -77,6 +75,9 @@ class RelaxationSchedule:
             raise ValueError("specify exactly one of constant, cycle, or base(+slope)")
         if self.cycle is not None and len(self.cycle) == 0:
             raise ValueError("cyclic relaxation schedule must be nonempty")
+        values = (self.constant, self.base, self.slope, *(self.cycle or ()))
+        if not all(math.isfinite(v) for v in values if v is not None):
+            raise ValueError("relaxation values must be finite")
         if self.base is not None and self.slope is None:
             object.__setattr__(self, "slope", 0.0)
 
@@ -120,8 +121,8 @@ class PerturbationSchedule:
     directions: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.beta0 < 0.0:
-            raise ValueError("beta0 must be nonnegative")
+        if not 0.0 <= self.beta0 < math.inf:
+            raise ValueError("beta0 must be finite and nonnegative")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
         if self.directions is not None:
@@ -165,7 +166,7 @@ class StopRule:
     max_iters: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.step_tol <= 0.0 or self.window < 1 or self.max_iters < 1:
+        if not 0.0 < self.step_tol < math.inf or self.window < 1 or self.max_iters < 1:
             raise ValueError("invalid stopping rule parameters")
 
 
@@ -327,8 +328,6 @@ def fejer_monitor(
     Witnesses must be caller-certified common fixed points of all scheduled
     averaged operators; the coefficient is eps / (1 + rho - eps).
     """
-    if len(witnesses.points) == 0:
-        raise ValueError("fejer_monitor needs at least one witness")
     coeff = epsilon / (1.0 + rho - epsilon)
     xs = trace.iterates
     steps2 = np.sum((xs[1:] - xs[:-1]) ** 2, axis=-1)
@@ -342,41 +341,15 @@ def fejer_monitor(
 
 
 @dataclass(frozen=True)
-class StepDecayReport:
-    """Tail behaviour of the step norms; pass is None when not applicable."""
-
-    last_step_norm: float
-    passed: Optional[bool]
-    window: int
-
-
-def step_norm_decay(
-    trace: IterationTrace,
-    window: int = 10,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> StepDecayReport:
-    """Report the final step norm; pass iff the last ``window`` steps are all
-    at or below conv_tol when the run claims convergence."""
-    if trace.iterations < 1:
-        raise ValueError("trace too short for step-norm decay")
-    last = float(trace.step_norms[-1])
-    if not trace.converged or trace.iterations < window:
-        return StepDecayReport(last, None, window)
-    tail = trace.step_norms[-window:]
-    return StepDecayReport(last, bool(np.all(tail <= tolerances.conv_tol)), window)
-
-
-@dataclass(frozen=True)
 class DistanceDecayReport:
     """Residual table along the trace, one column per supplied operator.
 
-    ``residuals[k, j]`` is ||T_j(x_k) - x_k||.  ``oracle_distances`` holds
-    distances to a sampled target set when one was supplied.
+    ``residuals[k, j]`` is ||T_j(x_k) - x_k||, so ``residuals[-1]`` holds the
+    final residuals.  ``oracle_distances`` holds distances to a sampled target
+    set when one was supplied.
     """
 
     residuals: np.ndarray
-    final_residuals: np.ndarray
-    tail_max: np.ndarray
     oracle_distances: Optional[np.ndarray] = None
 
 
@@ -384,7 +357,6 @@ def distance_decay_diagnostic(
     trace: IterationTrace,
     per_set_projectors: list[Operator] | tuple[Operator, ...],
     c_sample: Optional[np.ndarray] = None,
-    tail: int = 10,
 ) -> DistanceDecayReport:
     """Tabulate per-operator residuals along the trace.
 
@@ -396,14 +368,8 @@ def distance_decay_diagnostic(
     xs = trace.iterates
     cols = [residual(op, xs) for op in per_set_projectors]
     res = np.stack(cols, axis=-1) if cols else np.zeros((len(xs), 0))
-    t = min(tail, len(xs))
     oracle = None
     if c_sample is not None:
         pts = np.atleast_2d(np.asarray(c_sample, dtype=float))
         oracle = np.min(norm(xs[:, None, :] - pts[None, :, :]), axis=-1)
-    return DistanceDecayReport(
-        residuals=res,
-        final_residuals=res[-1] if len(res) else np.zeros(0),
-        tail_max=np.max(res[-t:], axis=0) if len(res) else np.zeros(0),
-        oracle_distances=oracle,
-    )
+    return DistanceDecayReport(residuals=res, oracle_distances=oracle)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Tolerances, as_vector, check_weights, norm
+from .core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances, as_vector, check_weights, norm
 from .engine import (
     IterationTrace,
     PerturbationSchedule,
@@ -97,7 +97,7 @@ class ProblemInstance:
             raise ValueError("a problem needs at least one set")
         for p in projectors:
             if p.dim != self.dim:
-                raise ValueError("projector dimension differs from problem dimension")
+                raise DimensionMismatchError("projector dimension differs from problem dimension")
         pts = tuple(as_vector(p, dim=self.dim) for p in self.known_c_points)
         if self.consistent and pts:
             for z in pts:
@@ -525,7 +525,7 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
         raise ConfigError(str(exc)) from exc
 
 

@@ -102,8 +102,11 @@ class _AffineProjection(Operator):
         aa = float(a @ a)
         if aa == 0.0:
             raise ValueError(f"{type(self).__name__} needs a nonzero normal")
+        b = float(self.b)
+        if not np.isfinite(b):
+            raise ValueError(f"{type(self).__name__} needs a finite offset b")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "_aa", aa)
 
     @property
@@ -149,8 +152,8 @@ class BallProjection(Operator):
 
     def __post_init__(self) -> None:
         c = _readonly(as_vector(self.center).copy())
-        if not float(self.radius) > 0.0:
-            raise ValueError("ball radius must be positive")
+        if not 0.0 < float(self.radius) < np.inf:
+            raise ValueError("ball radius must be finite and positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -437,7 +440,6 @@ class CheckReport:
     passed: bool
     max_violation: float
     samples: int
-    detail: str = field(default="")
 
     def __bool__(self) -> bool:
         return self.passed

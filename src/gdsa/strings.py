@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import check_weights
+from .core import DimensionMismatchError, check_weights
 from .operators import (
     Composition,
     ConvexCombination,
@@ -106,15 +106,13 @@ def signature_str(sig: PlanSignature) -> str:
     return "|".join("-".join(map(str, idx)) + ":" + format(w, ".17g") for idx, w in sig)
 
 
-def string_operator(plan: StringPlan, operators: tuple[Operator, ...], t: IndexString) -> Operator:
+def string_operator(operators: tuple[Operator, ...], t: IndexString) -> Operator:
     """The string operator ``V[t] = U_tq o ... o U_t1`` (first index applied first).
 
     A length-1 string yields the base operator itself.
     """
     if t.max_index() > len(operators):
         raise IndexError(f"string index {t.max_index()} out of range for m={len(operators)}")
-    if len(t) > plan.q:
-        raise ValueError("string longer than the plan's length bound")
     chain = tuple(operators[i - 1] for i in t.indices)
     return chain[0] if len(chain) == 1 else Composition(chain)
 
@@ -124,7 +122,7 @@ def averaged_operator(plan: StringPlan, operators: tuple[Operator, ...]) -> Oper
 
     A single-string plan yields that string operator itself.
     """
-    vs = [string_operator(plan, operators, t) for t in plan.strings]
+    vs = [string_operator(operators, t) for t in plan.strings]
     if len(vs) == 1:
         return vs[0]
     return ConvexCombination(tuple(zip(plan.weights, vs)))
@@ -141,7 +139,7 @@ class ControlSchedule:
     operators: tuple[Operator, ...]
     cycle: tuple[StringPlan, ...]
     preamble: tuple[StringPlan, ...] = ()
-    _op_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _op_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         operators = tuple(self.operators)
@@ -153,7 +151,7 @@ class ControlSchedule:
             raise ValueError("schedule cycle must be nonempty")
         dims = {op.dim for op in operators}
         if len(dims) != 1:
-            raise ValueError("base operators mix dimensions")
+            raise DimensionMismatchError("base operators mix dimensions")
         m = len(operators)
         for plan in preamble + cycle:
             if plan.max_index() > m:
@@ -236,14 +234,12 @@ class AdmissibilityReport:
     must recur with a bounded gap, which for a preamble plan means its
     signature also occurs in the cycle.  ``tail_admissible`` refers to the
     schedule restarted after the preamble (always true here), with ``k0`` the
-    restart index.  ``gap_bounds`` maps each recurring signature to a valid
-    recurrence gap (preamble length + cycle length, coarse but always valid);
-    ``tight_gap_bounds`` holds the minimal gaps when the schedule is admissible.
+    restart index.  ``tight_gap_bounds`` maps each recurring signature to its
+    minimal recurrence gap when the schedule is admissible (None otherwise).
     """
 
     admissible: bool
     limsup_set: tuple[PlanSignature, ...]
-    gap_bounds: dict[PlanSignature, int]
     violating_index: Optional[int]
     tail_admissible: bool
     k0: int
@@ -277,13 +273,10 @@ def check_admissibility(schedule: ControlSchedule) -> AdmissibilityReport:
     limsup = list(dict.fromkeys(cyc))
     violating = next((k for k, sig in enumerate(pre) if sig not in limsup), None)
     admissible = violating is None
-    bound = len(pre) + len(cyc)
-    gap_bounds = {sig: bound for sig in limsup}
     tight = _tight_gaps(pre, cyc, limsup) if admissible else None
     return AdmissibilityReport(
         admissible=admissible,
         limsup_set=tuple(limsup),
-        gap_bounds=gap_bounds,
         violating_index=violating,
         tail_admissible=True,
         k0=len(pre),

@@ -79,8 +79,8 @@ class WeightedSquaredNorm(ObjectiveFunction):
     def __post_init__(self) -> None:
         c = as_vector(self.center).copy()
         c.flags.writeable = False
-        if self.weight <= 0.0:
-            raise ValueError("weight must be positive")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError("weight must be finite and positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "weight", float(self.weight))
 
@@ -124,6 +124,8 @@ class MaxOfAffine(ObjectiveFunction):
             a.flags.writeable = False
             dim = a.size
             pieces.append((a, float(b)))
+        if not all(math.isfinite(b) for _, b in pieces):
+            raise ValueError("affine offsets must be finite")
         object.__setattr__(self, "pieces", tuple(pieces))
 
     @property
@@ -154,8 +156,8 @@ class SuperiorizationSchedule:
     steps: int = 1
 
     def __post_init__(self) -> None:
-        if self.beta0 <= 0.0:
-            raise ValueError("beta0 must be strictly positive")
+        if not 0.0 < self.beta0 < math.inf:
+            raise ValueError("beta0 must be finite and strictly positive")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
         if self.steps < 1:
@@ -176,19 +178,17 @@ class SuperiorizationSchedule:
 def perturbation_directions(
     y: np.ndarray,
     phi: ObjectiveFunction,
-    n_steps: int,
     betas,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[np.ndarray]:
-    """Steering directions v_1..v_N for one iteration, computed sequentially.
+    """Steering directions v_1..v_N for one iteration, one per entry of betas,
+    computed sequentially.
 
     v_{n+1} is the negated normalized subgradient selection at the partially
     shifted point ``y + sum_{i<=n} betas[i] * v_i``, or zero when the selected
     subgradient's norm is at or below subgrad_zero_tol.
     """
     betas = np.asarray(betas, dtype=float).tolist()
-    if len(betas) != n_steps:
-        raise ValueError("betas must have one entry per inner step")
     point = np.asarray(y, dtype=float)
     dirs: list[np.ndarray] = []
     for beta in betas:
@@ -223,7 +223,7 @@ def superiorized_run(
 
     def shift_at(k: int, y: np.ndarray) -> np.ndarray:
         betas = sup.betas_at(k)
-        dirs = perturbation_directions(y, phi, sup.steps, betas, tolerances)
+        dirs = perturbation_directions(y, phi, betas, tolerances)
         total = np.zeros_like(y)
         for b, v in zip(betas.tolist(), dirs):
             total += b * v
@@ -254,7 +254,6 @@ class StrictFejerReport:
     limit_in_cmin: bool
     k0: int
     decrements: np.ndarray
-    message: str = ""
 
 
 def strict_fejer_monitor(
@@ -276,7 +275,7 @@ def strict_fejer_monitor(
     d2 = np.sum((trace.iterates - z) ** 2, axis=-1)
     decrements = d2[:-1] - d2[1:]
     if float(np.sqrt(d2[-1])) <= tolerances.conv_tol:
-        return StrictFejerReport(None, True, k0, decrements, "limit in C_min")
+        return StrictFejerReport(None, True, k0, decrements)
     ok = bool(np.all(decrements[k0:] > tolerances.slack_tol))
     return StrictFejerReport(ok, False, k0, decrements)
 

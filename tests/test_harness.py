@@ -9,7 +9,7 @@ import pytest
 
 from conftest import simultaneous_schedule
 from gdsa.cli import main
-from gdsa.core import DEFAULT_TOLERANCES, Tolerances
+from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances
 from gdsa.engine import PerturbationSchedule, RelaxationSchedule, StopRule, run
 from gdsa.harness import (
     ConfigError,
@@ -32,6 +32,7 @@ from gdsa.harness import (
 from gdsa.operators import (
     BallProjection,
     BoxProjection,
+    Composition,
     ConvexCombination,
     HalfspaceProjection,
     HyperplaneProjection,
@@ -152,6 +153,21 @@ class TestFixedPointOracle:
         assert z is not None and abs(z[0]) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a, b: ProblemInstance(dim=1, projectors=(a, b)),
+        lambda a, b: ControlSchedule(operators=(a, b), cycle=(simultaneous_plan(2),)),
+        lambda a, b: ConvexCombination(((0.5, a), (0.5, b))),
+        lambda a, b: Composition((a, b)),
+    ],
+    ids=["problem", "schedule", "combination", "composition"],
+)
+def test_mixed_dimensions_raise_one_error_type(build):
+    with pytest.raises(DimensionMismatchError):
+        build(Identity(1), Identity(2))
+
+
 class TestConsistency:
     def test_two_interval_classified_inconsistent(self):
         problem = ProblemInstance(
@@ -192,6 +208,7 @@ CONFIG_DOC = {
     "x0": [7.3],
     "stop": {"step_tol": 1e-8, "window": 10, "max_iters": 10000},
 }
+SETS = CONFIG_DOC["problem"]["sets"]
 
 
 class TestConfig:
@@ -537,6 +554,40 @@ class TestCli:
         bad.write_text(json.dumps(doc))  # written as the JSON extension NaN
         assert main(["run", str(bad), "--quiet"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("stop.step_tol", float("nan")),
+            ("stop.max_iters", float("inf")),
+            ("tolerances.conv_tol", float("inf")),
+            ("relaxation.constant", float("nan")),
+            ("perturbation", {"beta0": float("nan")}),
+            ("superiorization", {"objective": {"kind": "l1"}, "beta0": float("nan")}),
+            ("superiorization", {"objective": {"kind": "wsqnorm", "center": [0.0], "weight": float("inf")}}),
+            ("superiorization", {"objective": {"kind": "max_affine", "pieces": [{"a": [1.0], "b": float("nan")}]}}),
+            # an extra set, outside every plan
+            ("problem.sets", [*SETS, {"kind": "halfspace", "a": [1.0], "b": float("nan")}]),
+            ("problem.sets", [*SETS, {"kind": "hyperplane", "a": [1.0], "b": float("inf")}]),
+            ("problem.sets", [*SETS, {"kind": "ball", "center": [0.0], "radius": float("inf")}]),
+        ],
+        ids=[
+            "step_tol", "max_iters", "conv_tol", "lam", "perturbation_beta0", "superiorization_beta0",
+            "wsqnorm_weight", "max_affine_offset", "halfspace_b", "hyperplane_b", "ball_radius",
+        ],
+    )
+    def test_non_finite_number_exits_2(self, config_file, tmp_path, command, key, value, capsys):
+        doc = json.loads(config_file.read_text())
+        *path, last = key.split(".")
+        node = doc
+        for part in path:
+            node = node.setdefault(part, {})
+        node[last] = value
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(doc))  # written as the JSON extensions NaN and Infinity
+        assert main([command, str(bad), "--quiet"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_non_finite_objective_exits_1(self, tmp_path, capsys):
         # a valid config whose objective overflows at x0: a failed run, not a malformed config

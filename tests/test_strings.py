@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -88,28 +90,24 @@ class TestPlanValidation:
 
 class TestStringOperator:
     def test_length_one_string_is_base_operator(self):
-        plan = plan_of((1,))
-        assert string_operator(plan, (P_A, P_B), IndexString((1,))) is P_A
+        assert string_operator((P_A, P_B), IndexString((1,))) is P_A
 
     def test_application_order_first_index_innermost(self):
-        plan = plan_of((1, 2))
-        op = string_operator(plan, (P_A, P_B), IndexString((1, 2)))
+        op = string_operator((P_A, P_B), IndexString((1, 2)))
         xs = SampleSpec(dim=1, count=50, seed=0).points()
         expected = apply(P_B, apply(P_A, xs))
         assert np.array_equal(apply(op, xs), expected)
 
     def test_repeated_projection_is_idempotent(self):
-        plan = plan_of((1, 1))
-        op = string_operator(plan, (P_A, P_B), IndexString((1, 1)))
+        op = string_operator((P_A, P_B), IndexString((1, 1)))
         xs = SampleSpec(dim=1, count=100, seed=1).points()
         assert np.allclose(apply(op, xs), apply(P_A, xs), atol=DEFAULT_TOLERANCES.eq_tol)
         # idempotence of the projection itself backs this up
         assert np.all(residual(P_A, apply(P_A, xs)) <= DEFAULT_TOLERANCES.eq_tol)
 
     def test_index_out_of_range(self):
-        plan = plan_of((3,))
         with pytest.raises(IndexError):
-            string_operator(plan, (P_A, P_B), IndexString((3,)))
+            string_operator((P_A, P_B), IndexString((3,)))
 
 
 class TestAveragedOperator:
@@ -128,7 +126,7 @@ class TestAveragedOperator:
         plan = plan_of((1, 2), (2, 1))
         z = np.array([0.0, 0.0])  # in both balls
         for t in plan.strings:
-            assert residual(string_operator(plan, (ball1, ball2), t), z) <= DEFAULT_TOLERANCES.eq_tol
+            assert residual(string_operator((ball1, ball2), t), z) <= DEFAULT_TOLERANCES.eq_tol
         assert residual(averaged_operator(plan, (ball1, ball2)), z) <= DEFAULT_TOLERANCES.eq_tol
 
 
@@ -212,7 +210,7 @@ class TestAdmissibility:
         assert report.admissible
         assert set(report.limsup_set) == {PLAN_A.signature(), PLAN_B.signature()}
         assert all(gap <= 2 for gap in report.tight_gap_bounds.values())
-        assert report.gap_bounds[PLAN_A.signature()] == 2
+        assert report.tight_gap_bounds[PLAN_A.signature()] == 2
 
     def test_preamble_only_plan_not_admissible(self):
         sched = ControlSchedule(operators=(P_A, P_B), cycle=(PLAN_A,), preamble=(PLAN_B,))
@@ -227,17 +225,13 @@ class TestAdmissibility:
         report = check_admissibility(sched)
         assert report.admissible
         # every window of length 3 contains both plans
-        assert report.gap_bounds[PLAN_A.signature()] == 3
-        assert report.gap_bounds[PLAN_B.signature()] == 3
-        assert report.tight_gap_bounds[PLAN_B.signature()] == 3
-        assert report.tight_gap_bounds[PLAN_A.signature()] <= 3
+        assert report.tight_gap_bounds == {PLAN_A.signature(): 2, PLAN_B.signature(): 3}
 
     def test_long_cycle_gets_exact_gaps(self):
         # 65 plans: one B, then 64 A; B recurs only once per period
         sched = ControlSchedule(operators=(P_A, P_B), cycle=(PLAN_B,) + (PLAN_A,) * 64)
         report = check_admissibility(sched)
         assert report.tight_gap_bounds == {PLAN_B.signature(): 65, PLAN_A.signature(): 2}
-        assert report.gap_bounds == {PLAN_B.signature(): 65, PLAN_A.signature(): 65}
 
     @given(
         st.lists(st.sampled_from([PLAN_A, PLAN_B, PLAN_C]), max_size=6),
@@ -262,8 +256,8 @@ class TestAdmissibility:
         sched = ControlSchedule(operators=(P_A, P_B), cycle=(PLAN_A, PLAN_B), preamble=(PLAN_B,))
         report = check_admissibility(sched)
         assert report.admissible and report.violating_index is None
-        # coarse bound covers the preamble shift
-        assert report.gap_bounds[PLAN_A.signature()] == 3
+        # the preamble shifts A's first occurrence to step 1, a gap of 2
+        assert report.tight_gap_bounds == {PLAN_A.signature(): 2, PLAN_B.signature(): 2}
 
 
 class TestSchedule:
@@ -281,6 +275,14 @@ class TestSchedule:
     def test_operator_cache_reuses_instances(self):
         sched = ControlSchedule(operators=(P_A, P_B), cycle=(PLAN_A, PLAN_B))
         assert sched.operator_at(0) is sched.operator_at(2)
+
+    def test_replaced_operators_get_a_fresh_cache(self):
+        sched = ControlSchedule(operators=(P_A, P_B), cycle=(simultaneous_plan(2),))
+        assert apply(sched.operator_at(0), np.array([100.0])) == pytest.approx([1.0])
+        wide = (BoxProjection([-30.0], [-10.0]), BoxProjection([10.0], [30.0]))
+        swapped = replace(sched, operators=wide)
+        assert apply(swapped.operator_at(0), np.array([100.0])) == pytest.approx([10.0])
+        assert apply(sched.operator_at(0), np.array([100.0])) == pytest.approx([1.0])
 
     def test_plan_index_above_m_rejected(self):
         with pytest.raises(ValueError):
