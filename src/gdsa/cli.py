@@ -31,6 +31,7 @@ from .engine import (
     run,
 )
 from .harness import (
+    _ORACLE_DIM_LIMIT,
     ConfigError,
     ExperimentConfig,
     GridSpec,
@@ -49,6 +50,7 @@ from .harness import (
 from .core import SampleSpec
 from .operators import (
     FixedPointWitness,
+    Operator,
     _Draw,
     projection_witness_points,
     propagate_alpha,
@@ -92,7 +94,7 @@ def _execute(config: ExperimentConfig):
 
 
 def _grid_for(config: ExperimentConfig) -> GridSpec:
-    span = float(np.max(np.abs(config.x0))) if config.x0.size else 1.0
+    span = float(np.max(np.abs(config.x0)))
     reach = max(5.0, span + 1.0)
     return GridSpec(low=-reach, high=reach, points=41)
 
@@ -114,7 +116,7 @@ def _certified_fejer(config: ExperimentConfig, trace=None):
 def _run_outputs(config: ExperimentConfig, out_dir: Path, quiet: bool) -> dict:
     trace = _execute(config)
     fejer = None
-    if config.problem.dim <= 3 and config.perturb is None and config.sup is None:
+    if config.problem.dim <= _ORACLE_DIM_LIMIT and config.perturb is None and config.sup is None:
         fejer = _certified_fejer(config, trace)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "trace.csv"
@@ -153,12 +155,17 @@ def _cmd_verify(args) -> int:
 
     # one draw for every check; each operator is applied once to each half
     draw = _Draw(SampleSpec(dim=config.problem.dim, seed=config.seed))
-    for i, proj in enumerate(config.problem.projectors, start=1):
-        tx, ty = draw.images(proj)
+
+    def check_operator(name: str, op: Operator, rho: float, fne_name: str) -> np.ndarray:
+        tx, ty = draw.images(op)
         ne = draw.nonexpansive(tx, ty, tol)
-        report(f"set {i}: nonexpansive", ne.passed, f"max_violation={ne.max_violation:.3e}")
-        fne = draw.rho_fne(tx, ty, 1.0, tol)
-        report(f"set {i}: firmly nonexpansive", fne.passed, f"max_violation={fne.max_violation:.3e}")
+        report(f"{name}: nonexpansive", ne.passed, f"max_violation={ne.max_violation:.3e}")
+        fne = draw.rho_fne(tx, ty, rho, tol)
+        report(f"{name}: {fne_name}", fne.passed, f"max_violation={fne.max_violation:.3e}")
+        return tx
+
+    for i, proj in enumerate(config.problem.projectors, start=1):
+        tx = check_operator(f"set {i}", proj, 1.0, "firmly nonexpansive")
         try:
             witness = projection_witness_points(proj, tolerances=tol)
         except ValueError as exc:  # not idempotent: its images are not fixed points
@@ -176,18 +183,9 @@ def _cmd_verify(args) -> int:
 
     rho = rho_constant(config.schedule)
     for sig, op in config.schedule.distinct_operators().items():
-        label = signature_str(sig)
-        tx, ty = draw.images(op)
-        ne = draw.nonexpansive(tx, ty, tol)
-        report(f"plan {label}: nonexpansive", ne.passed, f"max_violation={ne.max_violation:.3e}")
         alpha = propagate_alpha(op)
         rho_op = (2.0 - alpha) / alpha
-        fne = draw.rho_fne(tx, ty, rho_op, tol)
-        report(
-            f"plan {label}: {rho_op:g}-firmly nonexpansive",
-            fne.passed,
-            f"max_violation={fne.max_violation:.3e}",
-        )
+        check_operator(f"plan {signature_str(sig)}", op, rho_op, f"{rho_op:g}-firmly nonexpansive")
 
     try:
         config.relax.validate(rho)

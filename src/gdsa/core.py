@@ -116,9 +116,8 @@ class SampleSpec:
             raise ValueError("SampleSpec requires low < high")
 
     def points(self) -> np.ndarray:
-        """Array of shape (count, dim)."""
-        rng = np.random.default_rng(self.seed)
-        return rng.uniform(self.low, self.high, size=(self.count, self.dim))
+        """Array of shape (count, dim): the first half of :meth:`pairs`."""
+        return self.pairs()[0]
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Two arrays of shape (count, dim), drawn independently."""

@@ -84,9 +84,6 @@ class Operator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, x) -> np.ndarray:
-        return apply(self, x)
-
 
 @dataclass(frozen=True, eq=False)
 class _AffineProjection(Operator):
@@ -441,29 +438,22 @@ class CheckReport:
     max_violation: float
     samples: int
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 class _Draw:
     """One seeded draw that every sampled check reads, and its operator-independent terms.
 
     ``gdsa verify`` draws once, applies each operator once to ``xs`` and once
     to ``ys`` (``images``), and hands those images to the nonexpansive,
-    rho-FNE and cutter checks.  ``SampleSpec.points()`` equals
-    ``pairs()[0]`` bit for bit, so the cutter check reads the points it
-    would draw alone.  ``pairs=False`` draws only ``xs``, for the cutter.
+    rho-FNE and cutter checks.  The cutter reads ``xs``, which is
+    ``SampleSpec.points()``.
     """
 
-    def __init__(self, spec: SampleSpec, pairs: bool = True) -> None:
+    def __init__(self, spec: SampleSpec) -> None:
         self.count = spec.count
-        if pairs:
-            self.xs, self.ys = spec.pairs()
-            diff = self.xs - self.ys
-            self.dist = norm(diff)
-            self.sq_dist = np.sum(diff ** 2, axis=-1)
-        else:
-            self.xs, self.ys = spec.points(), None
+        self.xs, self.ys = spec.pairs()
+        diff = self.xs - self.ys
+        self.dist = norm(diff)
+        self.sq_dist = np.sum(diff ** 2, axis=-1)
 
     def images(self, op: Operator) -> tuple[np.ndarray, np.ndarray]:
         return apply(op, self.xs), apply(op, self.ys)
@@ -525,24 +515,22 @@ def check_cutter(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckReport:
     """Sample the cutter inequality <z - T(x), x - T(x)> <= 0 over witness points z."""
-    draw = _Draw(samples or SampleSpec(dim=op.dim), pairs=False)
+    draw = _Draw(samples or SampleSpec(dim=op.dim))
     return draw.cutter(apply(op, draw.xs), witness, tolerances)
 
 
 def projection_witness_points(
     op: Operator,
-    samples: SampleSpec | None = None,
     count: int = 8,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> FixedPointWitness:
-    """Fixed points of an idempotent operator, obtained by projecting sample points.
+    """Fixed points of an idempotent operator: its images of ``count`` sample points at seed 7.
 
     Valid for the primitive projections (their image equals their fixed-point
     set); the construction is re-certified by a residual check and raises if
     the operator is not actually idempotent on the sample.
     """
-    samples = samples or SampleSpec(dim=op.dim, count=count, seed=7)
-    pts = apply(op, samples.points()[:count])
+    pts = apply(op, SampleSpec(dim=op.dim, count=count, seed=7).points())
     witness = FixedPointWitness(pts)
     witness.verify(op, tolerances)
     return witness

@@ -65,9 +65,6 @@ class ObjectiveFunction(abc.ABC):
         """Required input dimension, or None when dimension-agnostic."""
         return None
 
-    def __call__(self, x) -> float:
-        return self.evaluate(np.asarray(x, dtype=float))
-
 
 @dataclass(frozen=True)
 class WeightedSquaredNorm(ObjectiveFunction):

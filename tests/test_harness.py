@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import simultaneous_schedule
+from gdsa import harness
 from gdsa.cli import main
 from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances
 from gdsa.engine import PerturbationSchedule, RelaxationSchedule, StopRule, run
@@ -151,6 +152,10 @@ class TestFixedPointOracle:
     def test_certified_witness_two_interval(self, interval_schedule):
         z = certified_c_witness(interval_schedule, [7.3])
         assert z is not None and abs(z[0]) <= 1e-8
+
+    def test_certified_witness_is_none_when_picard_hits_its_cap(self, interval_schedule, monkeypatch):
+        monkeypatch.setattr(harness, "_ORACLE_PICARD_CAP", 1)
+        assert certified_c_witness(interval_schedule, [7.3]) is None
 
 
 @pytest.mark.parametrize(
@@ -659,6 +664,79 @@ class TestCli:
 
     def test_sweep_bad_path_exits_2(self, config_file):
         assert main(["sweep", str(config_file), "--param", "no.such.key", "--values", "1"]) == 2
+
+    def test_sweep_path_through_a_non_object_exits_2(self, config_file, capsys):
+        assert main(["sweep", str(config_file), "--param", "seed.value", "--values", "1"]) == 2
+        assert "sweep path 'seed.value' not found" in capsys.readouterr().err
+
+    def test_sweep_bare_word_reaches_the_parser_as_a_string(self, config_file, capsys):
+        assert main(["sweep", str(config_file), "--param", "relaxation.constant", "--values", "fast"]) == 2
+        assert "could not convert string to float: 'fast'" in capsys.readouterr().err
+
+    def test_sweep_out_writes_each_run_and_prints_the_same_table(self, config_file, tmp_path, capsys):
+        argv = ["sweep", str(config_file), "--param", "relaxation.constant", "--values", "0.5,1.0"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        assert main([*argv, "--out", str(tmp_path / "sweep")]) == 0
+        assert capsys.readouterr().out == table
+        for i in range(2):
+            run_dir = tmp_path / "sweep" / f"sweep_{i}"
+            assert (run_dir / "trace.csv").stat().st_size > 0
+            assert json.loads((run_dir / "summary.json").read_text())["iters"] > 0
+
+    def test_run_prints_its_two_progress_lines(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(config_file), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / 'trace.csv'} and {out / 'summary.json'}",
+            f"iters={summary['iters']} converged={summary['converged']} final_x={summary['final_x']}",
+        ]
+
+    def test_oracle_uses_equal_weights_when_the_first_plan_is_not_simultaneous(self, tmp_path, capsys):
+        # the string (1, 2) names no per-set weights; equal weights put the argmin at 0
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["schedule"]["cycle"] = [{"strings": [[1, 2]], "weights": [1.0]}]
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(doc))
+        assert load_config(path).plan_weights() == (0.5, 0.5)
+        assert main(["oracle", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["proximity_argmin"][0]) <= 1e-6
+        assert out["proximity_min_value"] == pytest.approx(0.5)
+
+    def test_max_affine_objective_of_another_dimension_exits_2(self, config_file, tmp_path, capsys):
+        doc = json.loads(config_file.read_text())
+        doc["superiorization"] = {"objective": {"kind": "max_affine", "pieces": [{"a": [1.0, 0.0], "b": 0.0}]}}
+        path = tmp_path / "max_affine.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "objective dimension 2 differs from problem dimension 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize(
+        "bad_set",
+        [
+            {"kind": "box", "lo": [-3.0], "hi": [-1.0], "alpha": float("nan")},
+            {"kind": "box", "lo": [-3.0], "hi": [-1.0], "alpha": 0.0},
+            {"kind": "box", "lo": [-3.0], "hi": [-1.0], "alpha": 2.5},
+            {
+                "kind": "relaxation",
+                "lam": 1.5,
+                "inner": {"kind": "relaxation", "lam": 1.5, "inner": {"kind": "box", "lo": [-3.0], "hi": [-1.0]}},
+            },
+        ],
+        ids=["alpha_nan", "alpha_0", "alpha_2.5", "nested_past_2"],
+    )
+    def test_bad_alpha_outside_the_schedule_operators_exits_2(self, tmp_path, command, bad_set, capsys):
+        # no run reaches the third set: schedule.operators names the two boxes
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["problem"]["sets"] = [*SETS, bad_set]
+        doc["schedule"]["operators"] = SETS
+        path = tmp_path / "bad_alpha.json"
+        path.write_text(json.dumps(doc))  # NaN is written as the JSON extension NaN
+        assert main([command, str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "alpha" in capsys.readouterr().err
 
     def test_verify_fails_on_false_alpha_declaration(self, tmp_path, capsys):
         # a reflection wrongly declared firmly nonexpansive must be caught

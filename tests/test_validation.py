@@ -1,0 +1,142 @@
+"""Every input check that rejects a malformed value, one case per ``raise``.
+
+Each case names the call, the exception type it must raise and a fragment of
+that raise's own message.  The message pins the case to its statement: with
+the check gone, the call either succeeds or fails later with another message,
+so the case fails.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from gdsa.core import DimensionMismatchError, SampleSpec, as_vector
+from gdsa.engine import IterationTrace, PerturbationSchedule, RelaxationRangeError, RelaxationSchedule
+from gdsa.harness import (
+    ConfigError,
+    GridSpec,
+    ProblemInstance,
+    constrained_min_oracle,
+    parse_config,
+)
+from gdsa.operators import (
+    AlphaUnknownError,
+    BoxProjection,
+    Composition,
+    ConvexCombination,
+    FixedPointWitness,
+    Identity,
+    Operator,
+    operator_from_json,
+    propagate_alpha,
+)
+from gdsa.strings import ControlSchedule, StringPlan, plan_from_json, simultaneous_plan
+from gdsa.superiorize import (
+    L1Norm,
+    MaxOfAffine,
+    SuperiorizationSchedule,
+    objective_from_json,
+    strict_fejer_monitor,
+)
+
+UNIT_BOX = BoxProjection([0.0], [1.0])
+
+
+def config(**blocks) -> dict:
+    """A valid one-set config with some blocks replaced."""
+    doc = {
+        "problem": {"dim": 1, "sets": [{"kind": "box", "lo": [0.0], "hi": [1.0]}]},
+        "schedule": {"cycle": [{"strings": [[1]], "weights": [1.0]}]},
+        "relaxation": {"constant": 1.0},
+        "x0": [2.0],
+    }
+    return {**doc, **blocks}
+
+
+def trace(steps: int) -> IterationTrace:
+    return IterationTrace(
+        iterates=np.zeros((steps + 1, 1)),
+        step_norms=np.zeros(steps),
+        lambdas=np.ones(steps),
+        plan_signatures=((),) * steps,
+        perturbations=None,
+        converged=False,
+    )
+
+
+class _Unknown(Operator):
+    dim = 1
+
+
+CASES = {
+    "as_vector shape": (lambda: as_vector([[1.0, 2.0]]), ValueError, "expected a 1-D vector"),
+    "as_vector dimension": (lambda: as_vector([1.0], dim=2), DimensionMismatchError, "expected dimension 2"),
+    "SampleSpec dim": (lambda: SampleSpec(dim=0), ValueError, "dim must be >= 1"),
+    "SampleSpec count": (lambda: SampleSpec(dim=1, count=0), ValueError, "count must be >= 1"),
+    "SampleSpec low < high": (lambda: SampleSpec(dim=1, low=1.0, high=1.0), ValueError, "low < high"),
+    "RelaxationSchedule epsilon": (
+        lambda: RelaxationSchedule(epsilon=0.0, constant=1.0), ValueError, "epsilon must lie"),
+    "RelaxationSchedule empty cycle": (
+        lambda: RelaxationSchedule(cycle=()), ValueError, "cyclic relaxation schedule must be nonempty"),
+    "RelaxationSchedule.validate empty range": (
+        lambda: RelaxationSchedule(epsilon=1.0, constant=1.0).validate(0.5),
+        RelaxationRangeError, "empty relaxation range"),
+    "PerturbationSchedule decay": (lambda: PerturbationSchedule(decay=1.0), ValueError, "decay must lie"),
+    "PerturbationSchedule empty directions": (
+        lambda: PerturbationSchedule(directions=()), ValueError, "direction list must be nonempty"),
+    "IterationTrace length mismatch": (
+        lambda: IterationTrace(np.zeros((3, 1)), np.zeros(1), np.ones(1), ((),), None, False),
+        ValueError, "iterations \\+ 1 iterates"),
+    "ProblemInstance without sets": (
+        lambda: ProblemInstance(dim=1, projectors=()), ValueError, "at least one set"),
+    "GridSpec low < high": (lambda: GridSpec(low=1.0, high=1.0), ValueError, "grid requires low < high"),
+    "GridSpec points": (lambda: GridSpec(points=1), ValueError, "at least 2 points"),
+    "constrained_min_oracle above dimension 3": (
+        lambda: constrained_min_oracle(
+            ProblemInstance(dim=4, projectors=(BoxProjection(np.zeros(4), np.ones(4)),)),
+            (1.0,), L1Norm(), GridSpec(points=2)),
+        ValueError, "oracle restricted to dimension <= 3"),
+    "problem without sets key": (
+        lambda: parse_config(config(problem={"dim": 1})), ConfigError, "problem needs 'dim' and 'sets'"),
+    "schedule without cycle key": (
+        lambda: parse_config(config(schedule={})), ConfigError, "schedule needs a 'cycle'"),
+    "plan without weights key": (
+        lambda: plan_from_json({"strings": [[1]]}), ValueError, "needs 'strings' and 'weights'"),
+    "Identity dim": (lambda: Identity(0), ValueError, "dimension must be >= 1"),
+    "empty ConvexCombination": (lambda: ConvexCombination(()), ValueError, "at least one term"),
+    "empty Composition": (lambda: Composition(()), ValueError, "at least one operator"),
+    "propagate_alpha declared out of range": (
+        lambda: propagate_alpha(BoxProjection([0.0], [1.0], declared_alpha=2.5)),
+        ValueError, "declared_alpha must be in"),
+    "propagate_alpha unknown node": (
+        lambda: propagate_alpha(_Unknown()), AlphaUnknownError, "alpha unknown for node type _Unknown"),
+    "FixedPointWitness non-finite": (
+        lambda: FixedPointWitness([[np.nan]]), ValueError, "witness points must be finite"),
+    "operator_from_json non-object": (
+        lambda: operator_from_json([1.0]), ValueError, "operator document must be an object"),
+    "objective_from_json non-object": (
+        lambda: objective_from_json([1.0]), ValueError, "objective document must be an object"),
+    "objective_from_json unknown kind": (
+        lambda: objective_from_json({"kind": "huber"}), ValueError, "unknown objective kind 'huber'"),
+    "empty StringPlan": (lambda: StringPlan((), ()), ValueError, "at least one string"),
+    "ControlSchedule without operators": (
+        lambda: ControlSchedule(operators=(), cycle=(simultaneous_plan(1),)),
+        ValueError, "at least one base operator"),
+    "ControlSchedule empty cycle": (
+        lambda: ControlSchedule(operators=(UNIT_BOX,), cycle=()), ValueError, "cycle must be nonempty"),
+    "plan_at(-1)": (
+        lambda: ControlSchedule(operators=(UNIT_BOX,), cycle=(simultaneous_plan(1),)).plan_at(-1),
+        IndexError, "schedule index must be >= 0"),
+    "empty MaxOfAffine": (lambda: MaxOfAffine(()), ValueError, "at least one affine piece"),
+    "SuperiorizationSchedule steps": (
+        lambda: SuperiorizationSchedule(steps=0), ValueError, "steps must be a positive integer"),
+    "strict_fejer_monitor k0": (
+        lambda: strict_fejer_monitor(trace(3), [0.0], k0=-1), ValueError, "k0 must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES.keys())
+def test_malformed_input_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
