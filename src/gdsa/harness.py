@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._float_text import CELL, format_17g
 from .core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances, as_vector, check_weights, norm
 from .engine import (
     IterationTrace,
@@ -542,6 +543,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(doc, path.parent)
 
 
+_TRACE_BLOCK_ROWS = 128
+
+
 def write_trace_csv(
     trace: IterationTrace,
     path: str | Path,
@@ -551,35 +555,62 @@ def write_trace_csv(
 
     Row k holds iterate k; the step-indexed columns are empty on the final
     row.  perturb_norm is 0 throughout for a trace without perturbations.
-    Superiorized traces gain phi_value and budget columns.
+    Superiorized traces gain phi_value and budget columns.  Every number is
+    written as format(v, ".17g") would write it, in blocks of rows.
     """
     dim = trace.iterates.shape[-1]
+    n = trace.iterations
     header = ["k"] + [f"x{i}" for i in range(dim)]
     header += ["step_norm", "lambda", "plan_signature", "perturb_norm", "fejer_slack_min"]
-    n = trace.iterations
-    labels = {sig: signature_str(sig) for sig in set(trace.plan_signatures)}
-    slacks = [""] * n if fejer_slack_min is None else ["%.17g" % v for v in fejer_slack_min.tolist()]
-    shifts = trace.perturbations
-    columns = zip(
-        trace.step_norms.tolist(),
-        trace.lambdas.tolist(),
-        [labels[sig] for sig in trace.plan_signatures],
-        [0.0] * n if shifts is None else norm(np.reshape(shifts, (n, dim))).tolist(),
-        slacks,
-        strict=True,
-    )
-    tails = ["%.17g,%.17g,%s,%.17g,%s" % row for row in columns] + [",,,,"]
-    if trace.phi_values is not None:
+    superiorized = trace.phi_values is not None
+    if superiorized:
         header += ["phi_value", "perturb_l1_budget_remaining"]
-        left = ["%.17g" % v for v in trace.perturb_budget_remaining.tolist()] + [""]
-        tails = ["%s,%.17g,%s" % row for row in zip(tails, trace.phi_values.tolist(), left, strict=True)]
-    # "%.17g" renders a Python float exactly as format(v, ".17g") does
-    point = ",".join(["%.17g"] * dim)
-    # rows are formatted and written one at a time, so the text is never held whole
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for k, tail in enumerate(tails):
-            fh.write(f"{k}," + point % tuple(trace.iterates[k].tolist()) + "," + tail + "\n")
+    # columns: k, x, step_norm, lambda, signature, perturb_norm, fejer, [phi, budget]
+    sig_col = dim + 3
+    step_cols = [dim + 1, dim + 2, dim + 4, dim + 5] + ([dim + 7] if superiorized else [])
+    ncols = len(header)
+    plans = {sig: i for i, sig in enumerate(dict.fromkeys(trace.plan_signatures))}
+    labels = [signature_str(sig).encode() for sig in plans] + [b""]
+    width = max(CELL, *map(len, labels)) + 1
+    label_cells = np.array(labels, dtype=f"S{width}").view(np.uint8).reshape(len(labels), width)
+    label_lens = np.array([len(label) for label in labels])
+    # the final row takes the empty label
+    label_of = np.array([plans[sig] for sig in trace.plan_signatures] + [len(labels) - 1], dtype=np.intp)
+    ends = np.full(ncols, ord(","), dtype=np.uint8)
+    ends[-1] = ord("\n")
+    shifts = trace.perturbations
+    per_step = (trace.lambdas, trace.plan_signatures, shifts, fejer_slack_min, trace.perturb_budget_remaining)
+    if any(c is not None and len(c) != n for c in per_step) or (superiorized and len(trace.phi_values) != n + 1):
+        raise ValueError(f"trace columns do not all have {n} steps")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for r0 in range(0, n + 1, _TRACE_BLOCK_ROWS):
+            rows = min(n + 1 - r0, _TRACE_BLOCK_ROWS)
+            steps = min(rows, n - r0)  # rows that carry step-indexed cells
+            values = np.zeros((rows, ncols))
+            # row numbers are below 2**53, so they print as their float does
+            values[:, 0] = np.arange(r0, r0 + rows)
+            values[:, 1:dim + 1] = trace.iterates[r0:r0 + rows]
+            values[:steps, dim + 1] = trace.step_norms[r0:r0 + steps]
+            values[:steps, dim + 2] = trace.lambdas[r0:r0 + steps]
+            if shifts is not None:
+                values[:steps, dim + 4] = norm(np.reshape(shifts[r0:r0 + steps], (steps, dim)))
+            if fejer_slack_min is not None:
+                values[:steps, dim + 5] = fejer_slack_min[r0:r0 + steps]
+            if superiorized:
+                values[:, dim + 6] = trace.phi_values[r0:r0 + rows]
+                values[:steps, dim + 7] = trace.perturb_budget_remaining[r0:r0 + steps]
+            # the signature column is formatted as 0.0 and then overwritten
+            cells = np.empty((rows, ncols, width), dtype=np.uint8)
+            lens = format_17g(values.reshape(-1), cells.reshape(-1, width)).reshape(rows, ncols)
+            cells[:, sig_col] = label_cells[label_of[r0:r0 + rows]]
+            lens[:, sig_col] = label_lens[label_of[r0:r0 + rows]]
+            lens[steps:, step_cols] = 0
+            if fejer_slack_min is None:
+                lens[:, dim + 5] = 0
+            cells.reshape(-1)[np.arange(rows * ncols) * width + lens.reshape(-1)] = np.tile(ends, rows)
+            small = np.min_scalar_type(width)  # a narrow type halves the cost of the mask
+            fh.write(cells[np.arange(width, dtype=small) <= lens.astype(small)[..., None]])
 
 
 def summary_doc(

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib
 import json
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from conftest import simultaneous_schedule
 from gdsa import harness
 from gdsa.cli import main
 from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances
-from gdsa.engine import PerturbationSchedule, RelaxationSchedule, StopRule, run
+from gdsa.engine import IterationTrace, PerturbationSchedule, RelaxationSchedule, StopRule, run
 from gdsa.harness import (
     ConfigError,
     GridSpec,
@@ -455,6 +458,44 @@ def mixed_trace(kind: str, dim: int):
     return run(schedule, relax, x0, perturb=perturb, stop=stop)
 
 
+def mixed_values(rng, *shape) -> np.ndarray:
+    """Log-uniform magnitudes from 1e-14 to 1e17 of both signs, with zeros:
+    every layout of the writer's number kernel, and cells that fall back."""
+    values = np.exp(rng.uniform(np.log(1e-14), np.log(1e17), shape)) * rng.choice([-1.0, 1.0], shape)
+    values.reshape(-1)[::11] = 0.0
+    return values
+
+
+def synthetic_trace(rows: int, kind: str, dim: int = 4) -> IterationTrace:
+    """A trace of ``rows`` rows (rows - 1 steps) under two alternating plans."""
+    rng = np.random.default_rng(rows)
+    n = rows - 1
+    plans = (simultaneous_plan(4).signature(), StringPlan(((1, 2, 3, 4),), (1.0,)).signature())
+    iterates = mixed_values(rng, rows, dim)
+    iterates[0, :3] = SPECIAL[: min(3, dim)]
+    superiorized = kind == "superiorized"
+    return IterationTrace(
+        iterates=iterates,
+        step_norms=np.abs(mixed_values(rng, n)),
+        lambdas=rng.uniform(0.05, 1.95, n),
+        plan_signatures=tuple(plans[k % 2] for k in range(n)),
+        # built as the engine builds it: zero steps give shape (0,)
+        perturbations=None if kind == "plain" else np.asarray(list(mixed_values(rng, n, dim)), dtype=float),
+        converged=False,
+        phi_values=np.abs(mixed_values(rng, rows)) if superiorized else None,
+        perturb_budget_remaining=np.abs(mixed_values(rng, n)) if superiorized else None,
+    )
+
+
+def import_bench(name: str):
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(bench))
+
+
 class TestTraceCsvBytes:
     @pytest.mark.parametrize("dim", [1, 3, 100])
     @pytest.mark.parametrize("fejer", [False, True], ids=["fejer_empty", "fejer_filled"])
@@ -472,6 +513,41 @@ class TestTraceCsvBytes:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path, fejer_slack_min=slacks)
         assert path.read_bytes() == reference_trace_csv(trace, slacks)
+
+    # the writer formats blocks of 128 rows: the final row, whose step cells
+    # are empty, falls on each side of a block edge
+    @pytest.mark.parametrize("rows", [1, 127, 128, 129, 300], ids=["zero-step", "127", "128", "129", "300"])
+    @pytest.mark.parametrize("fejer", [False, True], ids=["fejer_empty", "fejer_filled"])
+    @pytest.mark.parametrize("kind", ["plain", "perturbed", "superiorized"])
+    def test_block_edges(self, tmp_path, kind, fejer, rows):
+        trace = synthetic_trace(rows, kind)
+        slacks = mixed_values(np.random.default_rng(0), rows - 1) if fejer else None
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path, fejer_slack_min=slacks)
+        assert path.read_bytes() == reference_trace_csv(trace, slacks)
+
+    @pytest.mark.parametrize("column", ["lambdas", "phi_values", "fejer"])
+    def test_a_column_of_another_length_is_refused(self, tmp_path, column):
+        trace = synthetic_trace(10, "superiorized")
+        slacks = np.zeros(trace.iterations + (column == "fejer"))
+        if column != "fejer":
+            trace = replace(trace, **{column: getattr(trace, column)[:-1]})
+        with pytest.raises(ValueError):
+            write_trace_csv(trace, tmp_path / "trace.csv", fejer_slack_min=slacks)
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("seed", [1, 101])
+    def test_benchmark_cli_config(self, tmp_path, seed):
+        # the real superiorized traces: exponent-form cells and cells that fall back
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(import_bench("workloads").cli_config(seed)))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        config = load_config(path)
+        trace = superiorized_run(
+            config.schedule, config.relax, config.objective, config.sup, config.x0,
+            stop=config.stop, tolerances=config.tolerances,
+        )
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == reference_trace_csv(trace)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_unperturbed_trace_writes_zero_shift_norms(self, tmp_path, dim):
