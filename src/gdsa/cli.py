@@ -63,18 +63,20 @@ __all__ = ["main"]
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+    """Apply the override flags in ``args``; a subcommand may lack some of them."""
     cfg = config
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    seed, max_iters, tol = (getattr(args, name, None) for name in ("seed", "max_iters", "tol"))
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
         if cfg.perturb is not None:
-            cfg = replace(cfg, perturb=replace(cfg.perturb, seed=args.seed))
-    if args.max_iters is not None:
-        cfg = replace(cfg, stop=replace(cfg.stop, max_iters=args.max_iters))
-    if args.tol is not None:
+            cfg = replace(cfg, perturb=replace(cfg.perturb, seed=seed))
+    if max_iters is not None:
+        cfg = replace(cfg, stop=replace(cfg.stop, max_iters=max_iters))
+    if tol is not None:
         cfg = replace(
             cfg,
-            tolerances=replace(cfg.tolerances, conv_tol=args.tol),
-            stop=replace(cfg.stop, step_tol=args.tol),
+            tolerances=replace(cfg.tolerances, conv_tol=tol),
+            stop=replace(cfg.stop, step_tol=tol),
         )
     return cfg
 
@@ -277,19 +279,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Dynamic string-averaging iterations with verification and oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("run", _cmd_run),
-        ("verify", _cmd_verify),
-        ("sweep", _cmd_sweep),
-        ("oracle", _cmd_oracle),
+    flags = {
+        "--out": dict(default=None, help="output directory"),
+        "--seed": dict(type=int, default=None, help="override the config seed"),
+        "--max-iters": dict(type=int, default=None, help="override max iterations"),
+        "--tol": dict(type=float, default=None, help="override conv_tol"),
+        "--quiet": dict(action="store_true", help="suppress progress output"),
+    }
+    overrides = ("--seed", "--max-iters", "--tol", "--quiet")
+    for name, fn, names in (
+        ("run", _cmd_run, ("--out", *overrides)),
+        ("verify", _cmd_verify, overrides),
+        ("sweep", _cmd_sweep, ("--out", *overrides)),
+        ("oracle", _cmd_oracle, ("--tol",)),
     ):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the experiment JSON")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--max-iters", type=int, default=None, help="override max iterations")
-        p.add_argument("--tol", type=float, default=None, help="override conv_tol")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(handler=fn)
     sub.choices["sweep"].add_argument("--param", required=True, help="dotted config path")
     sub.choices["sweep"].add_argument("--values", required=True, help="comma-separated values")

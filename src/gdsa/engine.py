@@ -313,7 +313,6 @@ class FejerReport:
     passed: bool
     min_slack: float
     per_step_min: np.ndarray
-    coefficient: float
 
 
 def fejer_monitor(
@@ -337,7 +336,7 @@ def fejer_monitor(
         slack = d2[:-1] - coeff * steps2 - d2[1:]
         per_step_min = np.minimum(per_step_min, slack)
     min_slack = float(np.min(per_step_min)) if trace.iterations else 0.0
-    return FejerReport(min_slack >= -tolerances.slack_tol, min_slack, per_step_min, coeff)
+    return FejerReport(min_slack >= -tolerances.slack_tol, min_slack, per_step_min)
 
 
 @dataclass(frozen=True)
@@ -345,31 +344,23 @@ class DistanceDecayReport:
     """Residual table along the trace, one column per supplied operator.
 
     ``residuals[k, j]`` is ||T_j(x_k) - x_k||, so ``residuals[-1]`` holds the
-    final residuals.  ``oracle_distances`` holds distances to a sampled target
-    set when one was supplied.
+    final residuals.
     """
 
     residuals: np.ndarray
-    oracle_distances: Optional[np.ndarray] = None
 
 
 def distance_decay_diagnostic(
     trace: IterationTrace,
     per_set_projectors: list[Operator] | tuple[Operator, ...],
-    c_sample: Optional[np.ndarray] = None,
 ) -> DistanceDecayReport:
     """Tabulate per-operator residuals along the trace.
 
     In finite dimension, per-operator residuals going to zero forces the
     distance to the common target set to zero, so these columns are the
-    practical convergence certificate.  ``c_sample`` (points of the target
-    set) adds an oracle distance column.
+    practical convergence certificate.
     """
     xs = trace.iterates
     cols = [residual(op, xs) for op in per_set_projectors]
     res = np.stack(cols, axis=-1) if cols else np.zeros((len(xs), 0))
-    oracle = None
-    if c_sample is not None:
-        pts = np.atleast_2d(np.asarray(c_sample, dtype=float))
-        oracle = np.min(norm(xs[:, None, :] - pts[None, :, :]), axis=-1)
-    return DistanceDecayReport(residuals=res, oracle_distances=oracle)
+    return DistanceDecayReport(residuals=res)

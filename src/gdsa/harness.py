@@ -34,7 +34,7 @@ from .operators import (
     propagate_alpha,
     residual,
 )
-from .strings import ControlSchedule, averaged_operator, plan_from_json, signature_str, simultaneous_plan
+from .strings import ControlSchedule, averaged_operator, is_fit, plan_from_json, signature_str, simultaneous_plan
 from .superiorize import (
     ObjectiveFunction,
     SuperiorizationSchedule,
@@ -206,24 +206,27 @@ def fixed_point_oracle(
     op: Operator,
     x0,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    max_iters: int = 10_000_000,
+    max_iters: Optional[int] = None,
 ) -> np.ndarray:
     """Plain Picard iteration of ``op`` from x0 down to residual conv_tol/100.
 
     ``x0`` is one start point or a (k, n) stack of them.  Each row stops at
     the first iterate that passes the residual test, so a stack returns the
     rows that separate calls would return.  A vector keeps its own loop: the
-    stacked one gives the same bytes but makes ``certified_c_witness`` 30-43 %
-    slower on the benchmark's ``superiorized-cli`` config.  Independent of
+    stacked one gives the same bytes but raised the benchmark's
+    ``superiorized-cli`` ``certify_ms_p90`` by about 3 %.  Independent of
     the relaxed engine loop.  Plain iteration converges for averaged operators
     (``propagate_alpha(op) < 2``); a reflection (alpha = 2) is refused at
     once, an operator without a derivable alpha must declare one, and a
-    hard iteration cap guards the rest.
+    hard iteration cap, ``_ORACLE_PICARD_CAP`` unless ``max_iters`` is
+    given, guards the rest.
     """
     if propagate_alpha(op) >= 2.0:
         raise OracleIterationCapError(
             "plain iteration need not converge for alpha >= 2 (a reflection)"
         )
+    if max_iters is None:
+        max_iters = _ORACLE_PICARD_CAP
     x = np.asarray(x0, dtype=float)
     tol = tolerances.conv_tol / 100.0
     if x.ndim == 1:
@@ -263,9 +266,9 @@ def constrained_min_oracle(
     avg = averaged_operator(simultaneous_plan(problem.m, w), problem.projectors)
 
     def project(x: np.ndarray) -> np.ndarray:
-        return fixed_point_oracle(avg, x, tolerances, max_iters=_ORACLE_PICARD_CAP)
+        return fixed_point_oracle(avg, x, tolerances)
 
-    samples = fixed_point_oracle(avg, grid.mesh(problem.dim), tolerances, max_iters=_ORACLE_PICARD_CAP)
+    samples = fixed_point_oracle(avg, grid.mesh(problem.dim), tolerances)
     values = np.array([phi.evaluate(s) for s in samples])
     best = samples[int(np.argmin(values))]
 
@@ -288,7 +291,7 @@ def certified_c_witness(
     """
     ops = list(schedule.distinct_operators().values())
     try:
-        z = fixed_point_oracle(ops[0], x0, tolerances, max_iters=_ORACLE_PICARD_CAP)
+        z = fixed_point_oracle(ops[0], x0, tolerances)
     except OracleIterationCapError:
         return None
     if all(residual(op, z) <= 10.0 * tolerances.conv_tol for op in ops):
@@ -389,16 +392,14 @@ class ExperimentConfig:
     def plan_weights(self) -> tuple[float, ...]:
         """Per-set weights for proximity oracles.
 
-        Uses the cycle's first plan when it is fully simultaneous (one
-        length-1 string per set); equal weights otherwise.
+        Uses the cycle's plan when the cycle is that one plan and it is fully
+        simultaneous (a fit plan of length-1 strings); equal weights otherwise.
         """
         plan = self.schedule.cycle[0]
         m = self.problem.m
-        if len(self.schedule.cycle) == 1 and all(len(s) == 1 for s in plan.strings):
-            covered = [s.indices[0] for s in plan.strings]
-            if sorted(covered) == list(range(1, m + 1)):
-                by_index = {s.indices[0]: w for s, w in zip(plan.strings, plan.weights)}
-                return tuple(by_index[i] for i in range(1, m + 1))
+        if len(self.schedule.cycle) == 1 and plan.q == 1 and is_fit(plan, m):
+            by_index = {s.indices[0]: w for s, w in zip(plan.strings, plan.weights)}
+            return tuple(by_index[i] for i in range(1, m + 1))
         return self.problem.equal_weights()
 
 
@@ -531,6 +532,8 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
         raise ConfigError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config includes itself or nests too deeply: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -538,7 +541,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(doc, path.parent)
 

@@ -196,13 +196,9 @@ class ControlSchedule:
         return self.operator_for(self.plan_at(k))
 
     def distinct_operators(self) -> dict[PlanSignature, Operator]:
-        """One averaged operator per distinct plan signature in the schedule."""
-        out: dict[PlanSignature, Operator] = {}
-        for plan in self.all_plans():
-            sig = plan.signature()
-            if sig not in out:
-                out[sig] = self.operator_for(plan)
-        return out
+        """One averaged operator per distinct plan signature in the schedule,
+        in order of first occurrence."""
+        return {plan.signature(): self.operator_for(plan) for plan in self.all_plans()}
 
 
 def rho_constant(schedule: ControlSchedule) -> float:

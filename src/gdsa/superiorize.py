@@ -243,13 +243,12 @@ class StrictFejerReport:
     When the trace limit already sits at the witness the check is not
     applicable (``limit_in_cmin`` is true and ``passed`` is None); otherwise
     ``passed`` states whether every recorded squared distance to the witness
-    decreased by more than the slack tolerance from step k0 on.
+    decreased by more than the slack tolerance from the monitor's ``k0`` on.
     ``decrements`` holds ``||y_k - z||^2 - ||y_{k+1} - z||^2`` for all steps.
     """
 
     passed: Optional[bool]
     limit_in_cmin: bool
-    k0: int
     decrements: np.ndarray
 
 
@@ -272,9 +271,9 @@ def strict_fejer_monitor(
     d2 = np.sum((trace.iterates - z) ** 2, axis=-1)
     decrements = d2[:-1] - d2[1:]
     if float(np.sqrt(d2[-1])) <= tolerances.conv_tol:
-        return StrictFejerReport(None, True, k0, decrements)
+        return StrictFejerReport(None, True, decrements)
     ok = bool(np.all(decrements[k0:] > tolerances.slack_tol))
-    return StrictFejerReport(ok, False, k0, decrements)
+    return StrictFejerReport(ok, False, decrements)
 
 
 def find_strict_fejer_k0(

@@ -305,7 +305,10 @@ class TestFejerMonitor:
     def test_coefficient_value(self, interval_schedule, unit_relax, default_stop):
         trace = run(interval_schedule, unit_relax, [7.3], stop=default_stop)
         report = fejer_monitor(trace, FixedPointWitness(np.array([[0.0]])), 0.1, 1.0)
-        assert report.coefficient == pytest.approx(0.1 / 1.9)
+        # c = eps / (1 + rho - eps) = 0.1 / 1.9, against the witness z = 0
+        xs = trace.iterates[:, 0]
+        slack = xs[:-1] ** 2 - (0.1 / 1.9) * (xs[1:] - xs[:-1]) ** 2 - xs[1:] ** 2
+        assert report.per_step_min == pytest.approx(slack, rel=1e-12, abs=1e-12)
 
     def test_corrupted_trace_fails(self, interval_schedule, unit_relax, default_stop):
         trace = run(interval_schedule, unit_relax, [7.3], stop=default_stop)
@@ -328,25 +331,7 @@ class TestFejerMonitor:
             fejer_monitor(trace, FixedPointWitness(np.zeros((0, 1))), 0.05, 1.0)
 
 
-def still_trace(point) -> IterationTrace:
-    """A trace of one iterate and no steps."""
-    x = np.array([point], dtype=float)
-    return IterationTrace(x, np.zeros(0), np.zeros(0), (), np.zeros((0, x.shape[1])), True)
-
-
 class TestDistanceDecay:
-    def test_oracle_distance_nearest(self):
-        report = distance_decay_diagnostic(still_trace([0.0, 0.0]), [], c_sample=[[1.0, 0.0], [0.0, 2.0]])
-        assert report.oracle_distances.tolist() == [1.0]
-
-    def test_oracle_distance_membership(self):
-        report = distance_decay_diagnostic(still_trace([1.0, 1.0]), [], c_sample=[[1.0, 1.0]])
-        assert report.oracle_distances.tolist() == [0.0]
-
-    def test_oracle_distance_1d(self):
-        report = distance_decay_diagnostic(still_trace([0.0]), [], c_sample=[[-2.0], [3.0]])
-        assert report.oracle_distances.tolist() == [2.0]
-
     def test_converged_run_residuals_vanish(self, two_interval, interval_schedule, unit_relax, default_stop):
         trace = run(interval_schedule, unit_relax, [7.3], stop=default_stop)
         report = distance_decay_diagnostic(trace, two_interval.projectors)
@@ -367,13 +352,6 @@ class TestDistanceDecay:
         xs = trace.iterates[:, 0]
         assert report.residuals[:, 0] == pytest.approx(interval_distance(xs, -3.0, -1.0), abs=1e-12)
         assert report.residuals[:, 1] == pytest.approx(interval_distance(xs, 1.0, 3.0), abs=1e-12)
-
-    def test_oracle_distance_column(self, interval_schedule, unit_relax, default_stop):
-        trace = run(interval_schedule, unit_relax, [7.3], stop=default_stop)
-        report = distance_decay_diagnostic(
-            trace, [interval_schedule.operator_at(0)], c_sample=np.array([[0.0]])
-        )
-        assert report.oracle_distances[-1] <= 1e-6
 
 
 class TestRelaxedStepOperator:

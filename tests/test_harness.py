@@ -234,6 +234,36 @@ class TestConfig:
         config = parse_config(doc)
         assert config.plan_weights() == (0.25, 0.75)
 
+    @pytest.mark.parametrize(
+        "cycle, expected",
+        [
+            ([{"strings": [[3], [1], [2]], "weights": [0.5, 0.3, 0.2]}], (0.3, 0.2, 0.5)),
+            ([{"strings": [[1], [3]], "weights": [0.6, 0.4]}], (1 / 3,) * 3),
+            ([{"strings": [[1], [2], [3, 1]], "weights": [0.2, 0.3, 0.5]}], (1 / 3,) * 3),
+            (
+                [
+                    {"strings": [[1], [2], [3]], "weights": [0.2, 0.3, 0.5]},
+                    {"strings": [[1, 2, 3]], "weights": [1.0]},
+                ],
+                (1 / 3,) * 3,
+            ),
+        ],
+        ids=["fit_out_of_order", "unfit", "fit_with_a_longer_string", "two_plans"],
+    )
+    def test_plan_weights_match_the_coverage_rule(self, cycle, expected):
+        # the rule before is_fit: one cycle plan of length-1 strings covering every set
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["problem"]["sets"] = [*SETS, {"kind": "box", "lo": [-1.0], "hi": [1.0]}]
+        doc["schedule"]["cycle"] = cycle
+        config = parse_config(doc)
+        plan = config.schedule.cycle[0]
+        old = config.problem.equal_weights()
+        if len(cycle) == 1 and all(len(s) == 1 for s in plan.strings):
+            if sorted(s.indices[0] for s in plan.strings) == [1, 2, 3]:
+                by_index = {s.indices[0]: w for s, w in zip(plan.strings, plan.weights)}
+                old = tuple(by_index[i] for i in (1, 2, 3))
+        assert config.plan_weights() == old == expected
+
     def test_missing_field_raises_config_error(self):
         doc = json.loads(json.dumps(CONFIG_DOC))
         del doc["relaxation"]
@@ -268,6 +298,19 @@ class TestConfig:
         (tmp_path / "config.json").write_text(json.dumps(doc))
         config = load_config(tmp_path / "config.json")
         assert config.problem.m == 2
+
+    def test_include_cycle_raises_config_error(self, tmp_path):
+        (tmp_path / "b.json").write_text(json.dumps({"dim": 1, "sets": [{"include": "b.json"}]}))
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["problem"] = {"include": "b.json"}
+        with pytest.raises(ConfigError, match="includes itself"):
+            parse_config(doc, tmp_path)
+
+    def test_json_nested_past_the_recursion_limit_raises_config_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(path)
 
     def test_missing_include_raises(self, tmp_path):
         doc = json.loads(json.dumps(CONFIG_DOC))
@@ -811,8 +854,36 @@ class TestCli:
         doc["schedule"]["operators"] = SETS
         path = tmp_path / "bad_alpha.json"
         path.write_text(json.dumps(doc))  # NaN is written as the JSON extension NaN
-        assert main([command, str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert main([command, str(path), "--quiet"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_include_cycle_exits_2(self, tmp_path, command, capsys):
+        (tmp_path / "b.json").write_text(json.dumps({"dim": 1, "sets": [{"include": "b.json"}]}))
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["problem"] = {"include": "b.json"}
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--quiet"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--seed", "1"],
+            ["oracle", "--out", "d"],
+            ["oracle", "--max-iters", "10"],
+            ["oracle", "--quiet"],
+            ["verify", "--out", "d"],
+        ],
+        ids=["oracle_seed", "oracle_out", "oracle_max_iters", "oracle_quiet", "verify_out"],
+    )
+    def test_a_flag_the_subcommand_does_not_read_is_refused(self, config_file, argv, capsys):
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(config_file), *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_verify_fails_on_false_alpha_declaration(self, tmp_path, capsys):
         # a reflection wrongly declared firmly nonexpansive must be caught

@@ -7,6 +7,10 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
+from gdsa.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -27,3 +31,13 @@ def test_python_blocks_run_and_the_quickstart_prints_its_comment():
     assert namespace["trace"].perturbations is None  # as the README says of unperturbed runs
     for block in rest:  # later blocks reuse the names earlier ones define
         run_block(block, namespace)
+
+
+def test_the_cli_block_lists_the_flags_of_each_subcommand():
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S).group(1)
+    for line in block.splitlines():
+        command = line.split()[1]
+        with contextlib.redirect_stdout(io.StringIO()) as help_text, pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[a-z-]+", help_text.getvalue())) - {"--help"}
+        assert set(re.findall(r"--[a-z-]+", line)) == flags, command

@@ -276,6 +276,14 @@ class TestSchedule:
         sched = ControlSchedule(operators=(P_A, P_B), cycle=(PLAN_A, PLAN_B))
         assert sched.operator_at(0) is sched.operator_at(2)
 
+    def test_distinct_operators_are_the_cached_ones_in_first_occurrence_order(self):
+        # plan_of((2,), (1,)) has PLAN_A's signature, so the cycle repeats two plans
+        sched = ControlSchedule(operators=(P_A, P_B), cycle=(PLAN_B, plan_of((2,), (1,)), PLAN_A, PLAN_B))
+        distinct = sched.distinct_operators()
+        assert list(distinct) == [PLAN_B.signature(), PLAN_A.signature()]
+        assert distinct[PLAN_B.signature()] is sched.operator_for(PLAN_B)
+        assert distinct[PLAN_A.signature()] is sched.operator_for(PLAN_A)
+
     def test_replaced_operators_get_a_fresh_cache(self):
         sched = ControlSchedule(operators=(P_A, P_B), cycle=(simultaneous_plan(2),))
         assert apply(sched.operator_at(0), np.array([100.0])) == pytest.approx([1.0])
