@@ -212,10 +212,8 @@ def fixed_point_oracle(
 
     ``x0`` is one start point or a (k, n) stack of them.  Each row stops at
     the first iterate that passes the residual test, so a stack returns the
-    rows that separate calls would return.  A vector keeps its own loop: the
-    stacked one gives the same bytes but raised the benchmark's
-    ``superiorized-cli`` ``certify_ms_p90`` by about 3 %.  Independent of
-    the relaxed engine loop.  Plain iteration converges for averaged operators
+    rows that separate calls would return.  Independent of the relaxed
+    engine loop.  Plain iteration converges for averaged operators
     (``propagate_alpha(op) < 2``); a reflection (alpha = 2) is refused at
     once, an operator without a derivable alpha must declare one, and a
     hard iteration cap, ``_ORACLE_PICARD_CAP`` unless ``max_iters`` is
@@ -231,19 +229,13 @@ def fixed_point_oracle(
     tol = tolerances.conv_tol / 100.0
     if x.ndim == 1:
         x = as_vector(x, dim=op.dim)
-        for _ in range(max_iters):
-            tx = apply(op, x)
-            if norm(tx - x) <= tol:
-                return tx
-            x = tx
-    else:
-        for _ in range(max_iters):
-            tx = apply(op, x)
-            done = norm(tx - x) <= tol
-            if np.all(done):
-                return tx
-            # a finished row stays put, so its image is recomputed unchanged
-            x = np.where(np.expand_dims(done, -1), x, tx)
+    for _ in range(max_iters):
+        tx = apply(op, x)
+        done = norm(tx - x) <= tol
+        if np.all(done):
+            return tx
+        # a finished row stays put, so its image is recomputed unchanged
+        x = np.where(np.expand_dims(done, -1), x, tx)
     raise OracleIterationCapError(f"no fixed point within {max_iters} plain iterations")
 
 
