@@ -39,6 +39,13 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _as_int(value) -> int:
+    """``int(value)``, except that a float with a fractional part is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def norm(x) -> float:
     """Euclidean norm sqrt(<x, x>); reduces over the last axis for batches.
 

@@ -3,8 +3,9 @@ trace/summary persistence.
 
 The oracles here form the independent verification channel: they rely only on
 closed-form projections, grid search, and plain fixed-point (Picard)
-iteration, never on the relaxed engine loop they are used to check.  They are
-deliberately restricted to dimension <= 3.
+iteration, never on the relaxed engine loop they are used to check.  The two
+grid oracles are restricted to dimension <= 3; the Picard oracle runs in any
+dimension, under a hard iteration cap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ._float_text import CELL, format_17g
-from .core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances, as_vector, check_weights, norm
+from .core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances, _as_int, as_vector, check_weights, norm
 from .engine import (
     IterationTrace,
     PerturbationSchedule,
@@ -206,7 +207,6 @@ def fixed_point_oracle(
     op: Operator,
     x0,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    max_iters: Optional[int] = None,
 ) -> np.ndarray:
     """Plain Picard iteration of ``op`` from x0 down to residual conv_tol/100.
 
@@ -215,28 +215,26 @@ def fixed_point_oracle(
     rows that separate calls would return.  Independent of the relaxed
     engine loop.  Plain iteration converges for averaged operators
     (``propagate_alpha(op) < 2``); a reflection (alpha = 2) is refused at
-    once, an operator without a derivable alpha must declare one, and a
-    hard iteration cap, ``_ORACLE_PICARD_CAP`` unless ``max_iters`` is
-    given, guards the rest.
+    once, an operator without a derivable alpha must declare one, and the
+    hard iteration cap ``_ORACLE_PICARD_CAP`` guards the rest.  No dimension
+    limit applies.
     """
     if propagate_alpha(op) >= 2.0:
         raise OracleIterationCapError(
             "plain iteration need not converge for alpha >= 2 (a reflection)"
         )
-    if max_iters is None:
-        max_iters = _ORACLE_PICARD_CAP
     x = np.asarray(x0, dtype=float)
     tol = tolerances.conv_tol / 100.0
     if x.ndim == 1:
         x = as_vector(x, dim=op.dim)
-    for _ in range(max_iters):
+    for _ in range(_ORACLE_PICARD_CAP):
         tx = apply(op, x)
         done = norm(tx - x) <= tol
         if np.all(done):
             return tx
         # a finished row stays put, so its image is recomputed unchanged
         x = np.where(np.expand_dims(done, -1), x, tx)
-    raise OracleIterationCapError(f"no fixed point within {max_iters} plain iterations")
+    raise OracleIterationCapError(f"no fixed point within {_ORACLE_PICARD_CAP} plain iterations")
 
 
 def constrained_min_oracle(
@@ -424,7 +422,7 @@ def _parse_problem(doc: dict) -> ProblemInstance:
     projectors = tuple(operator_from_json(d) for d in doc["sets"])
     known = tuple(np.asarray(p, float) for p in doc.get("known_points", []))
     return ProblemInstance(
-        dim=int(doc["dim"]),
+        dim=_as_int(doc["dim"]),
         projectors=projectors,
         consistent=doc.get("consistent"),
         known_c_points=known,
@@ -484,13 +482,13 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         tol_casts = dict(eq_tol=float, conv_tol=float, slack_tol=float, subgrad_zero_tol=float)
         tolerances = Tolerances(**_fields(doc.get("tolerances", {}), **tol_casts))
         stop_doc = {"step_tol": tolerances.conv_tol, **doc.get("stop", {})}
-        stop = StopRule(**_fields(stop_doc, step_tol=float, window=int, max_iters=int))
-        seed = int(doc.get("seed", 0))
+        stop = StopRule(**_fields(stop_doc, step_tol=float, window=_as_int, max_iters=_as_int))
+        seed = _as_int(doc.get("seed", 0))
         perturb = None
         if "perturbation" in doc:
             p = {"seed": seed, **doc["perturbation"]}
             perturb = PerturbationSchedule(
-                **_fields(p, beta0=float, decay=float, seed=int, directions=_vectors)
+                **_fields(p, beta0=float, decay=float, seed=_as_int, directions=_vectors)
             )
         objective = None
         sup = None
@@ -503,7 +501,7 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
                 raise ConfigError(
                     f"objective dimension {objective.dim} differs from problem dimension {problem.dim}"
                 )
-            sup = SuperiorizationSchedule(**_fields(s, beta0=float, decay=float, steps=int))
+            sup = SuperiorizationSchedule(**_fields(s, beta0=float, decay=float, steps=_as_int))
         if perturb is not None and sup is not None:
             raise ConfigError("choose either 'perturbation' or 'superiorization', not both")
         x0 = as_vector(doc["x0"], dim=problem.dim)
@@ -522,7 +520,7 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ConfigError(str(exc)) from exc
     except RecursionError as exc:
         raise ConfigError(f"config includes itself or nests too deeply: {exc}") from exc

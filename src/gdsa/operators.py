@@ -29,6 +29,7 @@ from .core import (
     DimensionMismatchError,
     SampleSpec,
     Tolerances,
+    _as_int,
     as_vector,
     check_weights,
     norm,
@@ -134,8 +135,6 @@ class HyperplaneProjection(_AffineProjection):
     """Metric projection onto the hyperplane {u : <a, u> = b}."""
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if _is_vector(x):
-            return x - ((float(x @ self.a) - self.b) / self._aa) * self.a
         return x - ((x @ self.a - self.b) / self._aa)[..., None] * self.a
 
 
@@ -519,18 +518,14 @@ def check_cutter(
     return draw.cutter(apply(op, draw.xs), witness, tolerances)
 
 
-def projection_witness_points(
-    op: Operator,
-    count: int = 8,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> FixedPointWitness:
-    """Fixed points of an idempotent operator: its images of ``count`` sample points at seed 7.
+def projection_witness_points(op: Operator, tolerances: Tolerances = DEFAULT_TOLERANCES) -> FixedPointWitness:
+    """Fixed points of an idempotent operator: its images of 8 sample points at seed 7.
 
     Valid for the primitive projections (their image equals their fixed-point
     set); the construction is re-certified by a residual check and raises if
     the operator is not actually idempotent on the sample.
     """
-    pts = apply(op, SampleSpec(dim=op.dim, count=count, seed=7).points())
+    pts = apply(op, SampleSpec(dim=op.dim, count=8, seed=7).points())
     witness = FixedPointWitness(pts)
     witness.verify(op, tolerances)
     return witness
@@ -554,7 +549,7 @@ def operator_from_json(doc: dict) -> Operator:
     if kind == "box":
         return BoxProjection(np.asarray(doc["lo"], float), np.asarray(doc["hi"], float), declared_alpha=alpha)
     if kind == "identity":
-        return Identity(int(doc["dim"]), declared_alpha=alpha)
+        return Identity(_as_int(doc["dim"]), declared_alpha=alpha)
     if kind == "relaxation":
         return Relaxation(operator_from_json(doc["inner"]), doc["lam"], declared_alpha=alpha)
     if kind == "combination":

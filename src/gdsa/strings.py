@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import DimensionMismatchError, check_weights
+from .core import DimensionMismatchError, _as_int, check_weights
 from .operators import (
     Composition,
     ConvexCombination,
@@ -47,7 +47,7 @@ class IndexString:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_as_int(i) for i in self.indices)
         if not idx:
             raise ValueError("a string must have length >= 1")
         if any(i < 1 for i in idx):
@@ -290,5 +290,5 @@ def simultaneous_plan(m: int, weights=None) -> StringPlan:
 def plan_from_json(doc: dict) -> StringPlan:
     if not isinstance(doc, dict) or "strings" not in doc or "weights" not in doc:
         raise ValueError("plan document needs 'strings' and 'weights'")
-    strings = tuple(IndexString(tuple(int(i) for i in s)) for s in doc["strings"])
+    strings = tuple(IndexString(tuple(s)) for s in doc["strings"])
     return StringPlan(strings, tuple(float(w) for w in doc["weights"]))

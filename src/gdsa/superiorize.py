@@ -167,10 +167,6 @@ class SuperiorizationSchedule:
     def total_budget(self) -> float:
         return self.beta0 / (1.0 - self.decay)
 
-    def spent_through(self, k: int) -> float:
-        """Total shift budget consumed by steps 0..k."""
-        return self.beta0 * (1.0 - self.decay ** (k + 1)) / (1.0 - self.decay)
-
 
 def perturbation_directions(
     y: np.ndarray,
@@ -230,9 +226,8 @@ def superiorized_run(
     return replace(
         trace,
         phi_values=np.asarray([phi.evaluate(y) for y in trace.iterates]),
-        perturb_budget_remaining=np.asarray(
-            [sup.total_budget - sup.spent_through(k) for k in range(trace.iterations)]
-        ),
+        # after step k, beta0 * decay^(k+1) / (1 - decay) remains; total minus spent would cancel
+        perturb_budget_remaining=sup.total_budget * sup.decay ** np.arange(1, trace.iterations + 1),
     )
 
 

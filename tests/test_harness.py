@@ -4,6 +4,7 @@ import importlib
 import json
 import sys
 import time
+from fractions import Fraction
 from dataclasses import replace
 from pathlib import Path
 
@@ -111,11 +112,13 @@ class TestFixedPointOracle:
             fixed_point_oracle(reflection, [1.0])
         assert time.perf_counter() - start < 1.0
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # alpha = 1.9 passes the up-front check; x -> -0.9 x needs about 200 steps
         slow = Relaxation(HyperplaneProjection([1.0], 0.0), 1.9)
-        with pytest.raises(OracleIterationCapError):
-            fixed_point_oracle(slow, [1.0], max_iters=10)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_ORACLE_PICARD_CAP", 10)
+            with pytest.raises(OracleIterationCapError):
+                fixed_point_oracle(slow, [1.0])
         assert fixed_point_oracle(slow, [1.0])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_combination_with_a_reflection_converges(self):
@@ -592,6 +595,26 @@ class TestTraceCsvBytes:
         )
         assert (tmp_path / "out" / "trace.csv").read_bytes() == reference_trace_csv(trace)
 
+    def test_benchmark_budget_column_is_exact(self):
+        # beta0 = 1, decay = 0.995: after step k, decay^(k+1) / (1 - decay) remains; a
+        # difference of two totals would lose 10 of the 17 digits by the last rows
+        config = parse_config(import_bench("workloads").cli_config(1))
+        trace = superiorized_run(
+            config.schedule, config.relax, config.objective, config.sup, config.x0,
+            stop=config.stop, tolerances=config.tolerances,
+        )
+        assert trace.iterations == 4060
+        # the exact value as an unreduced ratio num / den, which spares a gcd per row
+        base = Fraction(config.sup.beta0) / (1 - Fraction(config.sup.decay))
+        num, den = base.numerator, base.denominator
+        p, q = config.sup.decay.as_integer_ratio()
+        tol = Fraction("4.5e-16")
+        for remaining in trace.perturb_budget_remaining.tolist():
+            num, den = num * p, den * q
+            a, b = remaining.as_integer_ratio()
+            # |a/b - num/den| <= tol * num/den
+            assert abs(a * den - num * b) * tol.denominator <= tol.numerator * num * b
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_unperturbed_trace_writes_zero_shift_norms(self, tmp_path, dim):
         trace = mixed_trace("plain", dim)
@@ -925,6 +948,56 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[FAIL] set 1: cutter  witness point is not fixed" in out
         assert "[ok  ] set 2: cutter" in out and "fejer monitor" in out
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("schedule.cycle.0.strings", [[1.7], [2.2]]),
+            ("problem.dim", 1.5),
+            ("problem.sets", [*SETS, {"kind": "identity", "dim": 1.5}]),
+            ("seed", 3.9),
+            ("perturbation", {"seed": 3.9}),
+            ("stop.window", 2.5),
+            ("stop.max_iters", 100.9),
+            ("superiorization", {"objective": {"kind": "l1"}, "steps": 1.5}),
+        ],
+        ids=["string_index", "problem_dim", "identity_dim", "seed", "perturbation_seed", "window",
+             "max_iters", "superiorization_steps"],
+    )
+    def test_fractional_integer_exits_2(self, config_file, tmp_path, command, key, value, capsys):
+        doc = json.loads(config_file.read_text())
+        *path, last = key.split(".")
+        node = doc
+        for part in path:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[last] = value
+        bad = tmp_path / "fractional.json"
+        bad.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(bad), "--quiet", *out]) == 2
+        assert "error: expected an integer, got " in capsys.readouterr().err
+
+    def test_integral_floats_are_accepted_as_integers(self):
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["schedule"]["cycle"][0]["strings"] = [[1.0], [2.0]]
+        doc.update(seed=3.0, stop={"window": 2.0, "max_iters": 100000.0})
+        config = parse_config(doc)
+        assert config.schedule.cycle[0].strings[1].indices == (2,)
+        assert (config.seed, config.stop.window, config.stop.max_iters) == (3, 2, 100000)
+        assert type(config.stop.max_iters) is int
+
+    def test_oracle_above_dimension_3_exits_2(self, tmp_path, capsys):
+        doc = {
+            "problem": {"dim": 4, "sets": [{"kind": "box", "lo": [-1.0] * 4, "hi": [1.0] * 4}]},
+            "schedule": {"cycle": [{"strings": [[1]], "weights": [1.0]}]},
+            "relaxation": {"epsilon": 0.05, "constant": 1.0},
+            "x0": [2.0] * 4,
+        }
+        path = tmp_path / "dim4.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path)]) == 2
+        assert "oracle restricted to dimension <= 3" in capsys.readouterr().err
 
     def test_max_iters_override_stops_the_run(self, config_file, tmp_path):
         out = tmp_path / "out"

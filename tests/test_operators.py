@@ -254,7 +254,7 @@ class TestWitness:
             witness.verify(BALL)
 
     def test_projection_witness_points_are_fixed(self):
-        witness = projection_witness_points(BALL, count=6)
+        witness = projection_witness_points(BALL)
         assert witness.verify(BALL) <= DEFAULT_TOLERANCES.eq_tol
 
     def test_empty_witness_rejected(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,7 +148,6 @@ class TestSchedule:
         sup = SuperiorizationSchedule(beta0=0.5, decay=0.9, steps=2)
         assert sup.total_budget == pytest.approx(5.0)
         assert sup.betas_at(0) == pytest.approx([0.25, 0.25])
-        assert sup.spent_through(0) == pytest.approx(0.5)
 
 
 class TestSuperiorizedRun:
@@ -182,8 +183,11 @@ class TestSuperiorizedRun:
         trace = superiorized_run(ball_schedule, unit_relax, phi, sup, [3.0, 4.0], stop=default_stop)
         for k, y in enumerate(trace.iterates):
             assert trace.phi_values[k] == phi.evaluate(y)
-        for k in range(trace.iterations):
-            assert trace.perturb_budget_remaining[k] == sup.total_budget - sup.spent_through(k)
+        # after step k, beta0 * decay^(k+1) / (1 - decay) remains, here in exact rationals
+        exact = Fraction(sup.beta0) / (1 - Fraction(sup.decay))
+        for remaining in trace.perturb_budget_remaining.tolist():
+            exact *= Fraction(sup.decay)
+            assert abs(Fraction(remaining) - exact) <= Fraction("4.5e-16") * exact
 
     def test_perturbed_point_within_budget(self, interval_schedule, unit_relax, default_stop):
         phi = WeightedSquaredNorm(np.array([0.0]))

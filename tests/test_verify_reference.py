@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdsa import harness
 from gdsa.cli import _apply_overrides, main
 from gdsa.core import DEFAULT_TOLERANCES, SampleSpec, as_vector, norm
 from gdsa.engine import NonFiniteIterateError, RelaxationRangeError, fejer_monitor, run
@@ -438,17 +439,22 @@ def test_fixed_point_oracle_matches_the_frozen_loop(dim, seed, rows):
     leaves = [random_leaf(rng, dim) for _ in range(3)]
     op = ConvexCombination(tuple(zip((0.2, 0.3, 0.5), leaves)))
     starts = 5.0 * rng.standard_normal((rows, dim))
-    for x0 in (starts[0], starts):
-        new = fixed_point_oracle(op, x0, max_iters=100_000)
-        old = old_fixed_point_oracle(op, x0, max_iters=100_000)
-        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_ORACLE_PICARD_CAP", 100_000)
+        for x0 in (starts[0], starts):
+            new = fixed_point_oracle(op, x0)
+            old = old_fixed_point_oracle(op, x0, max_iters=100_000)
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("x0", [[3.0], [[3.0], [-4.0]]], ids=["vector", "stack"])
-def test_fixed_point_oracle_cap_matches_the_frozen_loop(x0):
+def test_fixed_point_oracle_cap_matches_the_frozen_loop(x0, monkeypatch):
     # two disjoint intervals averaged: the first step from 3 or -4 lands on +-1, not on 0
     op = ConvexCombination(((0.5, BoxProjection([-3.0], [-1.0])), (0.5, BoxProjection([1.0], [3.0]))))
-    for oracle in (fixed_point_oracle, old_fixed_point_oracle):
+    with pytest.raises(OracleIterationCapError, match="within 1 plain"):
+        old_fixed_point_oracle(op, x0, max_iters=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_ORACLE_PICARD_CAP", 1)
         with pytest.raises(OracleIterationCapError, match="within 1 plain"):
-            oracle(op, x0, max_iters=1)
+            fixed_point_oracle(op, x0)
     assert fixed_point_oracle(op, x0).tobytes() == old_fixed_point_oracle(op, x0).tobytes()
