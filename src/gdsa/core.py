@@ -40,8 +40,9 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def _as_int(value) -> int:
-    """``int(value)``, except that a float with a fractional part is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``, except that a boolean, a string or a float with a
+    fractional part is refused, not converted."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -53,7 +53,6 @@ __all__ = [
     "fixed_point_oracle",
     "constrained_min_oracle",
     "certified_c_witness",
-    "classify_consistency",
     "two_interval_problem",
     "two_ball_problem",
     "segment_problem",
@@ -81,17 +80,11 @@ _ORACLE_PICARD_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A finite family of closed convex sets, given by their projections.
-
-    ``consistent`` is None until classified by an oracle.  ``known_c_points``
-    are certified members of the target set of the simultaneous iteration
-    (the common intersection when consistent).
-    """
+    """A finite family of closed convex sets in R^``dim``, given by their
+    ``projectors``, one per set, each of dimension ``dim``."""
 
     dim: int
     projectors: tuple[Operator, ...]
-    consistent: Optional[bool] = None
-    known_c_points: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
         projectors = tuple(self.projectors)
@@ -100,14 +93,7 @@ class ProblemInstance:
         for p in projectors:
             if p.dim != self.dim:
                 raise DimensionMismatchError("projector dimension differs from problem dimension")
-        pts = tuple(as_vector(p, dim=self.dim) for p in self.known_c_points)
-        if self.consistent and pts:
-            for z in pts:
-                for p in projectors:
-                    if residual(p, z) > DEFAULT_TOLERANCES.eq_tol:
-                        raise ValueError("known point is not a member of every set")
         object.__setattr__(self, "projectors", projectors)
-        object.__setattr__(self, "known_c_points", pts)
 
     @property
     def m(self) -> int:
@@ -289,22 +275,6 @@ def certified_c_witness(
     return None
 
 
-def classify_consistency(
-    problem: ProblemInstance,
-    weights=None,
-    grid: GridSpec = GridSpec(),
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> ProblemInstance:
-    """Return a copy of the problem with ``consistent`` decided by the
-    proximity oracle (zero minimum means the sets intersect)."""
-    w = weights if weights is not None else problem.equal_weights()
-    argmin = proximity_argmin_oracle(problem, w, grid, tolerances)
-    fmin = proximity_value(problem, w, argmin)
-    consistent = bool(fmin <= tolerances.eq_tol)
-    points = problem.known_c_points if problem.known_c_points else (argmin,)
-    return replace(problem, consistent=consistent, known_c_points=points)
-
-
 # Ready-made desk-scale instances used across the test and acceptance suites.
 
 
@@ -317,7 +287,6 @@ def two_interval_problem() -> ProblemInstance:
             BoxProjection(np.array([-3.0]), np.array([-1.0])),
             BoxProjection(np.array([1.0]), np.array([3.0])),
         ),
-        consistent=False,
     )
 
 
@@ -330,7 +299,6 @@ def two_ball_problem() -> ProblemInstance:
             BallProjection(np.array([-2.0, 1.0]), 1.0),
             BallProjection(np.array([2.0, 1.0]), 1.0),
         ),
-        consistent=False,
     )
 
 
@@ -339,14 +307,12 @@ def segment_problem() -> ProblemInstance:
     return ProblemInstance(
         dim=2,
         projectors=(BoxProjection(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),),
-        consistent=True,
-        known_c_points=(np.array([0.0, 0.0]),),
     )
 
 
 def overlapping_ball_problem() -> ProblemInstance:
     """Two balls of radius sqrt(2) centered (-1, 0) and (1, 0); their
-    intersection is a lens around the origin, so the problem is consistent."""
+    intersection is a lens around the origin, so the sets intersect."""
     r = float(np.sqrt(2.0))
     return ProblemInstance(
         dim=2,
@@ -354,8 +320,6 @@ def overlapping_ball_problem() -> ProblemInstance:
             BallProjection(np.array([-1.0, 0.0]), r),
             BallProjection(np.array([1.0, 0.0]), r),
         ),
-        consistent=True,
-        known_c_points=(np.array([0.0, 0.0]),),
     )
 
 
@@ -420,13 +384,7 @@ def _parse_problem(doc: dict) -> ProblemInstance:
     if "dim" not in doc or "sets" not in doc:
         raise ConfigError("problem needs 'dim' and 'sets'")
     projectors = tuple(operator_from_json(d) for d in doc["sets"])
-    known = tuple(np.asarray(p, float) for p in doc.get("known_points", []))
-    return ProblemInstance(
-        dim=_as_int(doc["dim"]),
-        projectors=projectors,
-        consistent=doc.get("consistent"),
-        known_c_points=known,
-    )
+    return ProblemInstance(dim=_as_int(doc["dim"]), projectors=projectors)
 
 
 def _parse_schedule(doc: dict, problem: ProblemInstance) -> ControlSchedule:

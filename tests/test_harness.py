@@ -22,7 +22,6 @@ from gdsa.harness import (
     OracleIterationCapError,
     ProblemInstance,
     certified_c_witness,
-    classify_consistency,
     fixed_point_oracle,
     load_config,
     overlapping_ball_problem,
@@ -44,7 +43,6 @@ from gdsa.operators import (
     Identity,
     Relaxation,
     propagate_alpha,
-    residual,
 )
 from gdsa.strings import ControlSchedule, StringPlan, signature_str, simultaneous_plan
 from gdsa.superiorize import L1Norm, SuperiorizationSchedule, superiorized_run
@@ -179,32 +177,6 @@ def test_mixed_dimensions_raise_one_error_type(build):
         build(Identity(1), Identity(2))
 
 
-class TestConsistency:
-    def test_two_interval_classified_inconsistent(self):
-        problem = ProblemInstance(
-            dim=1,
-            projectors=two_interval_problem().projectors,
-        )
-        classified = classify_consistency(problem)
-        assert classified.consistent is False
-
-    def test_overlapping_balls_classified_consistent(self):
-        problem = ProblemInstance(dim=2, projectors=overlapping_ball_problem().projectors)
-        classified = classify_consistency(problem, grid=GridSpec(-4, 4, 41))
-        assert classified.consistent is True
-        for p in classified.projectors:
-            assert residual(p, classified.known_c_points[0]) <= DEFAULT_TOLERANCES.eq_tol
-
-    def test_known_points_must_be_members(self):
-        with pytest.raises(ValueError):
-            ProblemInstance(
-                dim=1,
-                projectors=(BoxProjection(np.array([0.0]), np.array([1.0])),),
-                consistent=True,
-                known_c_points=(np.array([5.0]),),
-            )
-
-
 CONFIG_DOC = {
     "problem": {
         "dim": 1,
@@ -334,8 +306,6 @@ class TestConfig:
                     stop=StopRule(step_tol=Tolerances().conv_tol),
                     perturb=PerturbationSchedule(seed=0),
                     sup=SuperiorizationSchedule(),
-                    consistent=None,
-                    known=[],
                 ),
             ),
             (  # the perturbation seed and the stop tolerance follow the documented keys
@@ -347,13 +317,10 @@ class TestConfig:
                     stop=StopRule(step_tol=1e-6),
                     perturb=PerturbationSchedule(seed=17),
                     sup=SuperiorizationSchedule(),
-                    consistent=None,
-                    known=[],
                 ),
             ),
             (  # every documented key set
                 {
-                    "problem": {**CONFIG_DOC["problem"], "consistent": False, "known_points": [[0.0]]},
                     "relaxation": {"epsilon": 0.1, "base": 0.9, "slope": 0.5},
                     "seed": 17,
                     "stop": {"step_tol": 1e-6, "window": 5, "max_iters": 500},
@@ -378,8 +345,6 @@ class TestConfig:
                     stop=StopRule(step_tol=1e-6, window=5, max_iters=500),
                     perturb=PerturbationSchedule(0.25, 0.8, 5, directions=(np.array([1.0]),)),
                     sup=SuperiorizationSchedule(beta0=0.3, decay=0.7, steps=3),
-                    consistent=False,
-                    known=[[0.0]],
                 ),
             ),
         ],
@@ -402,8 +367,6 @@ class TestConfig:
             assert config.relax == expected["relax"]
             assert config.tolerances == expected["tolerances"]
             assert config.stop == expected["stop"]
-            assert config.problem.consistent is expected["consistent"]
-            assert [p.tolist() for p in config.problem.known_c_points] == expected["known"]
         assert perturbed.perturb == expected["perturb"]
         assert perturbed.sup is None and superiorized.perturb is None
         assert superiorized.sup == expected["sup"]
@@ -961,9 +924,30 @@ class TestCli:
             ("stop.window", 2.5),
             ("stop.max_iters", 100.9),
             ("superiorization", {"objective": {"kind": "l1"}, "steps": 1.5}),
+            # a JSON boolean or a numeric string is no integer either
+            ("schedule.cycle.0.strings", [[True], [2]]),
+            ("schedule.cycle.0.strings", [["1"], [2]]),
+            ("problem.dim", True),
+            ("problem.dim", "1"),
+            ("problem.sets", [*SETS, {"kind": "identity", "dim": True}]),
+            ("problem.sets", [*SETS, {"kind": "identity", "dim": "1"}]),
+            ("seed", True),
+            ("seed", "1"),
+            ("perturbation", {"seed": True}),
+            ("perturbation", {"seed": "1"}),
+            ("stop.window", True),
+            ("stop.window", "2"),
+            ("stop.max_iters", True),
+            ("stop.max_iters", "5"),
+            ("superiorization", {"objective": {"kind": "l1"}, "steps": True}),
+            ("superiorization", {"objective": {"kind": "l1"}, "steps": "1"}),
         ],
         ids=["string_index", "problem_dim", "identity_dim", "seed", "perturbation_seed", "window",
-             "max_iters", "superiorization_steps"],
+             "max_iters", "superiorization_steps",
+             "string_index_true", "string_index_string", "problem_dim_true", "problem_dim_string",
+             "identity_dim_true", "identity_dim_string", "seed_true", "seed_string",
+             "perturbation_seed_true", "perturbation_seed_string", "window_true", "window_string",
+             "max_iters_true", "max_iters_string", "superiorization_steps_true", "superiorization_steps_string"],
     )
     def test_fractional_integer_exits_2(self, config_file, tmp_path, command, key, value, capsys):
         doc = json.loads(config_file.read_text())
@@ -977,6 +961,25 @@ class TestCli:
         out = ["--out", str(tmp_path / "out")] if command == "run" else []
         assert main([command, str(bad), "--quiet", *out]) == 2
         assert "error: expected an integer, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"consistent": True, "known_points": [[5.0]]}, {"consistent": "no", "known_points": [[0.0]]}],
+        ids=["outside_point", "string_flag"],
+    )
+    def test_consistency_keys_are_ignored(self, config_file, tmp_path, extra):
+        doc = json.loads(config_file.read_text())
+        doc["problem"].update(extra)
+        flagged = tmp_path / "flagged.json"
+        flagged.write_text(json.dumps(doc))
+        assert main(["verify", str(flagged)]) == 0
+        outputs = []
+        for path, out in [(config_file, tmp_path / "plain"), (flagged, tmp_path / "flagged")]:
+            assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary.pop("config_hash") == harness.config_hash(json.loads(path.read_text()))
+            outputs.append(((out / "trace.csv").read_bytes(), summary))
+        assert outputs[0] == outputs[1]
 
     def test_integral_floats_are_accepted_as_integers(self):
         doc = json.loads(json.dumps(CONFIG_DOC))
