@@ -30,6 +30,7 @@ from .harness import (
     constrained_min_oracle,
     fixed_point_oracle,
     load_config,
+    operator_from_json,
     parse_config,
     proximity_argmin_oracle,
     proximity_value,
@@ -50,7 +51,6 @@ from .operators import (
     check_cutter,
     check_nonexpansive,
     check_rho_fne,
-    operator_from_json,
     propagate_alpha,
     residual,
 )

@@ -8,6 +8,7 @@ all reductions run over the last axis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,23 @@ def _as_int(value) -> int:
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _as_float(value) -> float:
+    """``float(value)``, except that a boolean, a string or anything else that
+    is not a real number is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _as_floats(values) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, each entry checked as :func:`_as_float` checks it;
+    a flat list of Python ints and floats, which a JSON array parses to, passes on its types."""
+    if not (type(values) is list and set(map(type, values)) <= {int, float}):
+        for v in np.asarray(values, dtype=object).flat:
+            _as_float(v)
+    return np.asarray(values, dtype=float)
 
 
 def norm(x) -> float:
@@ -122,6 +140,8 @@ class SampleSpec:
             raise ValueError("SampleSpec.count must be >= 1")
         if not self.low < self.high:
             raise ValueError("SampleSpec requires low < high")
+        if self.seed < 0:
+            raise ValueError("SampleSpec.seed must be >= 0")
 
     def points(self) -> np.ndarray:
         """Array of shape (count, dim): the first half of :meth:`pairs`."""

@@ -125,6 +125,8 @@ class PerturbationSchedule:
             raise ValueError("beta0 must be finite and nonnegative")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.directions is not None:
             dirs = tuple(as_vector(v).copy() for v in self.directions)
             if not dirs:

@@ -19,7 +19,10 @@ from typing import Optional
 import numpy as np
 
 from ._float_text import CELL, format_17g
-from .core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances, _as_int, as_vector, check_weights, norm
+from .core import (
+    DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances, _as_float, _as_floats, _as_int, as_vector,
+    check_weights, norm,
+)
 from .engine import (
     IterationTrace,
     PerturbationSchedule,
@@ -27,20 +30,11 @@ from .engine import (
     StopRule,
 )
 from .operators import (
-    BallProjection,
-    BoxProjection,
-    Operator,
-    apply,
-    operator_from_json,
-    propagate_alpha,
-    residual,
+    BallProjection, BoxProjection, Composition, ConvexCombination, HalfspaceProjection, HyperplaneProjection,
+    Identity, Operator, Relaxation, apply, propagate_alpha, residual,
 )
-from .strings import ControlSchedule, averaged_operator, is_fit, plan_from_json, signature_str, simultaneous_plan
-from .superiorize import (
-    ObjectiveFunction,
-    SuperiorizationSchedule,
-    objective_from_json,
-)
+from .strings import ControlSchedule, StringPlan, averaged_operator, is_fit, signature_str, simultaneous_plan
+from .superiorize import L1Norm, MaxOfAffine, ObjectiveFunction, SuperiorizationSchedule, WeightedSquaredNorm
 
 __all__ = [
     "ConfigError",
@@ -58,6 +52,7 @@ __all__ = [
     "segment_problem",
     "overlapping_ball_problem",
     "load_config",
+    "operator_from_json",
     "parse_config",
     "config_hash",
     "write_trace_csv",
@@ -339,6 +334,10 @@ class ExperimentConfig:
     sup: Optional[SuperiorizationSchedule] = None
     raw: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
     @property
     def hash(self) -> str:
         return config_hash(self.raw)
@@ -380,6 +379,54 @@ def _resolve_includes(doc, base_dir: Path):
     return doc
 
 
+# Config JSON layout: a "kind" tag plus the node's fields, children nested.
+
+
+def operator_from_json(doc: dict) -> Operator:
+    """Build an operator expression from its JSON document; ``"alpha"`` sets ``declared_alpha``."""
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ValueError("operator document must be an object with a 'kind' tag")
+    kind = doc["kind"]
+    alpha = None if doc.get("alpha") is None else _as_float(doc["alpha"])
+    if kind == "halfspace":
+        return HalfspaceProjection(_as_floats(doc["a"]), _as_float(doc["b"]), declared_alpha=alpha)
+    if kind == "hyperplane":
+        return HyperplaneProjection(_as_floats(doc["a"]), _as_float(doc["b"]), declared_alpha=alpha)
+    if kind == "ball":
+        return BallProjection(_as_floats(doc["center"]), _as_float(doc["radius"]), declared_alpha=alpha)
+    if kind == "box":
+        return BoxProjection(_as_floats(doc["lo"]), _as_floats(doc["hi"]), declared_alpha=alpha)
+    if kind == "identity":
+        return Identity(_as_int(doc["dim"]), declared_alpha=alpha)
+    if kind == "relaxation":
+        return Relaxation(operator_from_json(doc["inner"]), _as_float(doc["lam"]), declared_alpha=alpha)
+    if kind == "combination":
+        terms = tuple((_as_float(t["weight"]), operator_from_json(t["op"])) for t in doc["terms"])
+        return ConvexCombination(terms, declared_alpha=alpha)
+    if kind == "composition":
+        return Composition(tuple(operator_from_json(d) for d in doc["ops"]), declared_alpha=alpha)
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def _parse_plan(doc: dict) -> StringPlan:
+    if not isinstance(doc, dict) or "strings" not in doc or "weights" not in doc:
+        raise ValueError("plan document needs 'strings' and 'weights'")
+    return StringPlan(tuple(doc["strings"]), _as_floats(doc["weights"]))
+
+
+def _parse_objective(doc: dict) -> ObjectiveFunction:
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ValueError("objective document must be an object with a 'kind' tag")
+    kind = doc["kind"]
+    if kind == "l1":
+        return L1Norm()
+    if kind == "wsqnorm":
+        return WeightedSquaredNorm(_as_floats(doc["center"]), _as_float(doc.get("weight", 1.0)))
+    if kind == "max_affine":
+        return MaxOfAffine(tuple((_as_floats(p["a"]), _as_float(p["b"])) for p in doc["pieces"]))
+    raise ValueError(f"unknown objective kind {kind!r}")
+
+
 def _parse_problem(doc: dict) -> ProblemInstance:
     if "dim" not in doc or "sets" not in doc:
         raise ConfigError("problem needs 'dim' and 'sets'")
@@ -394,8 +441,8 @@ def _parse_schedule(doc: dict, problem: ProblemInstance) -> ControlSchedule:
         operators = tuple(operator_from_json(d) for d in doc["operators"])
     else:
         operators = problem.projectors
-    cycle = tuple(plan_from_json(p) for p in doc["cycle"])
-    preamble = tuple(plan_from_json(p) for p in doc.get("preamble", []))
+    cycle = tuple(_parse_plan(p) for p in doc["cycle"])
+    preamble = tuple(_parse_plan(p) for p in doc.get("preamble", []))
     return ControlSchedule(operators=operators, cycle=cycle, preamble=preamble)
 
 
@@ -407,18 +454,12 @@ def _fields(doc: dict, **casts) -> dict:
     return {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
-def _vectors(values) -> tuple[np.ndarray, ...]:
-    return tuple(np.asarray(v, float) for v in values)
-
-
 def _parse_relaxation(doc: dict) -> RelaxationSchedule:
-    kwargs = _fields(doc, epsilon=float, constant=float, cycle=_floats, base=float)
+    kwargs = _fields(
+        doc, epsilon=_as_float, constant=_as_float, cycle=lambda v: tuple(_as_floats(v).tolist()), base=_as_float
+    )
     if "base" in doc:  # a slope only modifies a base
-        kwargs.update(_fields(doc, slope=float))
+        kwargs.update(_fields(doc, slope=_as_float))
     return RelaxationSchedule(**kwargs)
 
 
@@ -437,16 +478,16 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         for op in problem.projectors + schedule.operators:
             propagate_alpha(op)  # checks each declared alpha, whether or not a run reaches it
         relax = _parse_relaxation(doc["relaxation"])
-        tol_casts = dict(eq_tol=float, conv_tol=float, slack_tol=float, subgrad_zero_tol=float)
+        tol_casts = dict.fromkeys(("eq_tol", "conv_tol", "slack_tol", "subgrad_zero_tol"), _as_float)
         tolerances = Tolerances(**_fields(doc.get("tolerances", {}), **tol_casts))
         stop_doc = {"step_tol": tolerances.conv_tol, **doc.get("stop", {})}
-        stop = StopRule(**_fields(stop_doc, step_tol=float, window=_as_int, max_iters=_as_int))
+        stop = StopRule(**_fields(stop_doc, step_tol=_as_float, window=_as_int, max_iters=_as_int))
         seed = _as_int(doc.get("seed", 0))
         perturb = None
         if "perturbation" in doc:
             p = {"seed": seed, **doc["perturbation"]}
             perturb = PerturbationSchedule(
-                **_fields(p, beta0=float, decay=float, seed=_as_int, directions=_vectors)
+                **_fields(p, beta0=_as_float, decay=_as_float, seed=_as_int, directions=_as_floats)
             )
         objective = None
         sup = None
@@ -454,15 +495,15 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
             s = doc["superiorization"]
             if "objective" not in s:
                 raise ConfigError("superiorization needs an 'objective'")
-            objective = objective_from_json(s["objective"])
+            objective = _parse_objective(s["objective"])
             if objective.dim is not None and objective.dim != problem.dim:
                 raise ConfigError(
                     f"objective dimension {objective.dim} differs from problem dimension {problem.dim}"
                 )
-            sup = SuperiorizationSchedule(**_fields(s, beta0=float, decay=float, steps=_as_int))
+            sup = SuperiorizationSchedule(**_fields(s, beta0=_as_float, decay=_as_float, steps=_as_int))
         if perturb is not None and sup is not None:
             raise ConfigError("choose either 'perturbation' or 'superiorization', not both")
-        x0 = as_vector(doc["x0"], dim=problem.dim)
+        x0 = as_vector(_as_floats(doc["x0"]), dim=problem.dim)
         return ExperimentConfig(
             problem=problem,
             schedule=schedule,

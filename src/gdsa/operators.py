@@ -29,7 +29,6 @@ from .core import (
     DimensionMismatchError,
     SampleSpec,
     Tolerances,
-    _as_int,
     as_vector,
     check_weights,
     norm,
@@ -55,7 +54,6 @@ __all__ = [
     "check_rho_fne",
     "check_cutter",
     "projection_witness_points",
-    "operator_from_json",
 ]
 
 
@@ -530,31 +528,3 @@ def projection_witness_points(op: Operator, tolerances: Tolerances = DEFAULT_TOL
     witness.verify(op, tolerances)
     return witness
 
-
-# Config JSON layout: a "kind" tag plus the node's fields, children nested.
-
-
-def operator_from_json(doc: dict) -> Operator:
-    """Build an operator expression from its JSON document; ``"alpha"`` sets ``declared_alpha``."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("operator document must be an object with a 'kind' tag")
-    kind = doc["kind"]
-    alpha = doc.get("alpha")
-    if kind == "halfspace":
-        return HalfspaceProjection(np.asarray(doc["a"], float), doc["b"], declared_alpha=alpha)
-    if kind == "hyperplane":
-        return HyperplaneProjection(np.asarray(doc["a"], float), doc["b"], declared_alpha=alpha)
-    if kind == "ball":
-        return BallProjection(np.asarray(doc["center"], float), doc["radius"], declared_alpha=alpha)
-    if kind == "box":
-        return BoxProjection(np.asarray(doc["lo"], float), np.asarray(doc["hi"], float), declared_alpha=alpha)
-    if kind == "identity":
-        return Identity(_as_int(doc["dim"]), declared_alpha=alpha)
-    if kind == "relaxation":
-        return Relaxation(operator_from_json(doc["inner"]), doc["lam"], declared_alpha=alpha)
-    if kind == "combination":
-        terms = tuple((t["weight"], operator_from_json(t["op"])) for t in doc["terms"])
-        return ConvexCombination(terms, declared_alpha=alpha)
-    if kind == "composition":
-        return Composition(tuple(operator_from_json(d) for d in doc["ops"]), declared_alpha=alpha)
-    raise ValueError(f"unknown operator kind {kind!r}")

@@ -33,7 +33,6 @@ __all__ = [
     "is_fit",
     "check_admissibility",
     "simultaneous_plan",
-    "plan_from_json",
     "signature_str",
 ]
 
@@ -286,9 +285,3 @@ def simultaneous_plan(m: int, weights=None) -> StringPlan:
         weights = (1.0 / m,) * m
     return StringPlan(tuple(IndexString((i,)) for i in range(1, m + 1)), tuple(weights))
 
-
-def plan_from_json(doc: dict) -> StringPlan:
-    if not isinstance(doc, dict) or "strings" not in doc or "weights" not in doc:
-        raise ValueError("plan document needs 'strings' and 'weights'")
-    strings = tuple(IndexString(tuple(s)) for s in doc["strings"])
-    return StringPlan(strings, tuple(float(w) for w in doc["weights"]))

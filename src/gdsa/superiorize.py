@@ -38,7 +38,6 @@ __all__ = [
     "superiorized_run",
     "strict_fejer_monitor",
     "find_strict_fejer_k0",
-    "objective_from_json",
 ]
 
 
@@ -290,16 +289,3 @@ def find_strict_fejer_k0(
         return None
     return k0
 
-
-def objective_from_json(doc: dict) -> ObjectiveFunction:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("objective document must be an object with a 'kind' tag")
-    kind = doc["kind"]
-    if kind == "l1":
-        return L1Norm()
-    if kind == "wsqnorm":
-        return WeightedSquaredNorm(np.asarray(doc["center"], float), doc.get("weight", 1.0))
-    if kind == "max_affine":
-        pieces = tuple((np.asarray(p["a"], float), float(p["b"])) for p in doc["pieces"])
-        return MaxOfAffine(pieces)
-    raise ValueError(f"unknown objective kind {kind!r}")

@@ -14,7 +14,7 @@ import pytest
 from conftest import simultaneous_schedule
 from gdsa import harness
 from gdsa.cli import main
-from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances
+from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances
 from gdsa.engine import IterationTrace, PerturbationSchedule, RelaxationSchedule, StopRule, run
 from gdsa.harness import (
     ConfigError,
@@ -192,6 +192,59 @@ CONFIG_DOC = {
     "stop": {"step_tol": 1e-8, "window": 10, "max_iters": 10000},
 }
 SETS = CONFIG_DOC["problem"]["sets"]
+
+
+def with_key(doc: dict, key: str, value) -> dict:
+    """A copy of ``doc`` with the dotted ``key`` set to ``value``; a list index is a number."""
+    doc = json.loads(json.dumps(doc))
+    *path, last = key.split(".")
+    node = doc
+    for part in path:
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[last] = value
+    return doc
+
+
+# Every place the config reads a float, or an entry of a number array: the
+# dotted key, a valid value, and how the value sits under the key.
+NUMBER_SLOTS = {
+    "step_tol": ("stop.step_tol", 1e-8, lambda v: v),
+    "relaxation_epsilon": ("relaxation", 0.05, lambda v: {"epsilon": v, "constant": 1.0}),
+    "relaxation_constant": ("relaxation", 1.0, lambda v: {"constant": v}),
+    "relaxation_base": ("relaxation", 1.0, lambda v: {"base": v}),
+    "relaxation_slope": ("relaxation", 0.0, lambda v: {"base": 1.0, "slope": v}),
+    "relaxation_cycle": ("relaxation", 0.5, lambda v: {"cycle": [1.0, v]}),
+    "eq_tol": ("tolerances.eq_tol", 1e-10, lambda v: v),
+    "conv_tol": ("tolerances.conv_tol", 1e-8, lambda v: v),
+    "slack_tol": ("tolerances.slack_tol", 1e-12, lambda v: v),
+    "subgrad_zero_tol": ("tolerances.subgrad_zero_tol", 1e-12, lambda v: v),
+    "perturbation_beta0": ("perturbation", 0.5, lambda v: {"beta0": v}),
+    "perturbation_decay": ("perturbation", 0.9, lambda v: {"decay": v}),
+    "perturbation_directions": ("perturbation", 1.0, lambda v: {"directions": [[v]]}),
+    "superiorization_beta0": ("superiorization", 0.5, lambda v: {"objective": {"kind": "l1"}, "beta0": v}),
+    "superiorization_decay": ("superiorization", 0.9, lambda v: {"objective": {"kind": "l1"}, "decay": v}),
+    "objective_weight": (
+        "superiorization", 1.0, lambda v: {"objective": {"kind": "wsqnorm", "center": [0.0], "weight": v}}),
+    "objective_center": ("superiorization", 0.0, lambda v: {"objective": {"kind": "wsqnorm", "center": [v]}}),
+    "piece_b": (
+        "superiorization", 0.0, lambda v: {"objective": {"kind": "max_affine", "pieces": [{"a": [1.0], "b": v}]}}),
+    "piece_a": (
+        "superiorization", 1.0, lambda v: {"objective": {"kind": "max_affine", "pieces": [{"a": [v], "b": 0.0}]}}),
+    # an extra set, outside every plan
+    "halfspace_b": ("problem.sets", 0.0, lambda v: [*SETS, {"kind": "halfspace", "a": [1.0], "b": v}]),
+    "halfspace_a": ("problem.sets", 1.0, lambda v: [*SETS, {"kind": "halfspace", "a": [v], "b": 0.0}]),
+    "hyperplane_b": ("problem.sets", 0.0, lambda v: [*SETS, {"kind": "hyperplane", "a": [1.0], "b": v}]),
+    "ball_radius": ("problem.sets", 1.0, lambda v: [*SETS, {"kind": "ball", "center": [0.0], "radius": v}]),
+    "ball_center": ("problem.sets", 0.0, lambda v: [*SETS, {"kind": "ball", "center": [v], "radius": 1.0}]),
+    "box_lo": ("problem.sets", -1.0, lambda v: [*SETS, {"kind": "box", "lo": [v], "hi": [1.0]}]),
+    "box_hi": ("problem.sets", 1.0, lambda v: [*SETS, {"kind": "box", "lo": [-1.0], "hi": [v]}]),
+    "lam": ("problem.sets", 0.5, lambda v: [*SETS, {"kind": "relaxation", "inner": SETS[0], "lam": v}]),
+    "alpha": ("problem.sets", 1.0, lambda v: [*SETS, {**SETS[0], "alpha": v}]),
+    "term_weight": (
+        "problem.sets", 1.0, lambda v: [*SETS, {"kind": "combination", "terms": [{"weight": v, "op": SETS[0]}]}]),
+    "plan_weight": ("schedule.cycle", 1.0, lambda v: [{"strings": [[1, 2]], "weights": [v]}]),
+    "x0": ("x0", 7.3, lambda v: [v]),
+}
 
 
 class TestConfig:
@@ -776,7 +829,7 @@ class TestCli:
 
     def test_sweep_bare_word_reaches_the_parser_as_a_string(self, config_file, capsys):
         assert main(["sweep", str(config_file), "--param", "relaxation.constant", "--values", "fast"]) == 2
-        assert "could not convert string to float: 'fast'" in capsys.readouterr().err
+        assert "expected a number, got 'fast'" in capsys.readouterr().err
 
     def test_sweep_out_writes_each_run_and_prints_the_same_table(self, config_file, tmp_path, capsys):
         argv = ["sweep", str(config_file), "--param", "relaxation.constant", "--values", "0.5,1.0"]
@@ -989,6 +1042,85 @@ class TestCli:
         assert config.schedule.cycle[0].strings[1].indices == (2,)
         assert (config.seed, config.stop.window, config.stop.max_iters) == (3, 2, 100000)
         assert type(config.stop.max_iters) is int
+
+    @pytest.mark.parametrize("slot", NUMBER_SLOTS.values(), ids=NUMBER_SLOTS.keys())
+    def test_a_string_or_boolean_number_exits_2(self, tmp_path, slot, capsys):
+        key, good, place = slot
+        parse_config(with_key(CONFIG_DOC, key, place(good)))  # the slot holds a valid value
+        for value in (repr(good), True, False):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(with_key(CONFIG_DOC, key, place(value))))
+            for command in (["run", "--out", str(tmp_path / "out")], ["verify"]):
+                assert main([command[0], str(bad), "--quiet", *command[1:]]) == 2
+                assert f"error: expected a number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_a_boolean_among_floats_exits_2(self, tmp_path, command, capsys):
+        # numpy would read [4.0, true] as [4.0, 1.0]
+        doc = {
+            "problem": {"dim": 2, "sets": [{"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}]},
+            "schedule": {"cycle": [{"strings": [[1]], "weights": [1.0]}]},
+            "relaxation": {"constant": 1.0},
+            "x0": [4.0, True],
+        }
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), "--quiet", *out]) == 2
+        assert "error: expected a number, got True" in capsys.readouterr().err
+
+    def test_an_int_in_a_float_key_parses(self, tmp_path):
+        ints = json.loads(json.dumps(CONFIG_DOC))
+        ints["problem"]["sets"] = [{"kind": "box", "lo": [-3], "hi": [-1]}, {"kind": "box", "lo": [1], "hi": [3]}]
+        ints.update(x0=[7], relaxation={"epsilon": 0.05, "cycle": [1, 1]})
+        ints["stop"]["step_tol"] = 1
+        floats = json.loads(json.dumps(CONFIG_DOC))
+        floats.update(x0=[7.0], relaxation={"epsilon": 0.05, "cycle": [1.0, 1.0]})
+        floats["stop"]["step_tol"] = 1.0
+        traces = []
+        for name, doc in (("ints", ints), ("floats", floats)):
+            config = parse_config(doc)
+            assert config.x0.dtype == np.float64 and type(config.stop.step_tol) is float
+            assert config.relax.cycle == (1.0, 1.0) and type(config.relax.cycle[0]) is float
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name), "--quiet"]) == 0
+            traces.append((tmp_path / name / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize(
+        "extra, argv",
+        [
+            ({"seed": -1}, ["run"]),
+            ({"seed": -1}, ["verify"]),
+            ({"seed": -1}, ["oracle"]),
+            ({"perturbation": {"seed": -1}}, ["run"]),
+            ({"perturbation": {"seed": -1}}, ["verify"]),
+            ({"perturbation": {"seed": -1}}, ["oracle"]),
+            ({}, ["run", "--seed", "-1"]),
+            ({}, ["verify", "--seed", "-1"]),
+            ({}, ["sweep", "--param", "seed", "--values", "-1"]),
+        ],
+        ids=["seed_run", "seed_verify", "seed_oracle", "perturbation_seed_run", "perturbation_seed_verify",
+             "perturbation_seed_oracle", "flag_run", "flag_verify", "sweep"],
+    )
+    def test_a_negative_seed_exits_2(self, tmp_path, extra, argv, capsys):
+        path = tmp_path / "negative_seed.json"
+        path.write_text(json.dumps({**CONFIG_DOC, **extra}))
+        command, *flags = argv
+        assert main([command, str(path), *flags]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_each_seed_holder_refuses_a_negative_seed(self):
+        config = parse_config(json.loads(json.dumps(CONFIG_DOC)))
+        for make in (
+            lambda: replace(config, seed=-1),
+            lambda: PerturbationSchedule(seed=-1),
+            lambda: SampleSpec(dim=1, seed=-1),
+        ):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                make()
 
     def test_oracle_above_dimension_3_exits_2(self, tmp_path, capsys):
         doc = {

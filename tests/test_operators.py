@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gdsa.core import DEFAULT_TOLERANCES, SampleSpec
+from gdsa.harness import operator_from_json
 from gdsa.operators import (
     AlphaUnknownError,
     BallProjection,
@@ -19,7 +20,6 @@ from gdsa.operators import (
     check_cutter,
     check_nonexpansive,
     check_rho_fne,
-    operator_from_json,
     projection_witness_points,
     propagate_alpha,
     residual,

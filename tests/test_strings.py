@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gdsa.core import DEFAULT_TOLERANCES, SampleSpec
+from gdsa.harness import _parse_plan
 from gdsa.operators import (
     BallProjection,
     BoxProjection,
@@ -22,7 +23,6 @@ from gdsa.strings import (
     averaged_operator,
     check_admissibility,
     is_fit,
-    plan_from_json,
     rho_constant,
     signature_str,
     simultaneous_plan,
@@ -85,7 +85,7 @@ class TestPlanValidation:
     def test_plan_document_builds_the_hand_built_plan(self):
         doc = {"strings": [[1, 2], [2]], "weights": [0.3, 0.7]}
         p = plan_of((1, 2), (2,), weights=(0.3, 0.7))
-        assert plan_from_json(doc).signature() == p.signature()
+        assert _parse_plan(doc).signature() == p.signature()
 
 
 class TestStringOperator:

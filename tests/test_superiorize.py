@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import simultaneous_schedule
 from gdsa.core import DEFAULT_TOLERANCES, SampleSpec, Tolerances
 from gdsa.engine import IterationTrace, RelaxationSchedule, StopRule, run
-from gdsa.harness import constrained_min_oracle, GridSpec
+from gdsa.harness import _parse_objective, constrained_min_oracle, GridSpec
 from gdsa.operators import residual
 from gdsa.superiorize import (
     L1Norm,
@@ -20,7 +20,6 @@ from gdsa.superiorize import (
     SuperiorizationSchedule,
     WeightedSquaredNorm,
     find_strict_fejer_k0,
-    objective_from_json,
     perturbation_directions,
     strict_fejer_monitor,
     superiorized_run,
@@ -73,7 +72,7 @@ class TestObjectives:
             {"kind": "max_affine", "pieces": [{"a": [1.0, 0.0], "b": 0.0}, {"a": [-0.5, 1.0], "b": 0.3}]},
         ]
         for doc, phi in zip(docs, OBJECTIVES, strict=True):
-            parsed = objective_from_json(doc)
+            parsed = _parse_objective(doc)
             for x in (np.array([0.7, -1.3]), np.array([-2.0, 0.4])):
                 assert parsed.evaluate(x) == phi.evaluate(x)
                 assert np.array_equal(parsed.subgradient(x), phi.subgradient(x))

@@ -17,7 +17,10 @@ from gdsa.harness import (
     ConfigError,
     GridSpec,
     ProblemInstance,
+    _parse_objective,
+    _parse_plan,
     constrained_min_oracle,
+    operator_from_json,
     parse_config,
 )
 from gdsa.operators import (
@@ -28,15 +31,13 @@ from gdsa.operators import (
     FixedPointWitness,
     Identity,
     Operator,
-    operator_from_json,
     propagate_alpha,
 )
-from gdsa.strings import ControlSchedule, StringPlan, plan_from_json, simultaneous_plan
+from gdsa.strings import ControlSchedule, StringPlan, simultaneous_plan
 from gdsa.superiorize import (
     L1Norm,
     MaxOfAffine,
     SuperiorizationSchedule,
-    objective_from_json,
     strict_fejer_monitor,
 )
 
@@ -102,7 +103,7 @@ CASES = {
     "schedule without cycle key": (
         lambda: parse_config(config(schedule={})), ConfigError, "schedule needs a 'cycle'"),
     "plan without weights key": (
-        lambda: plan_from_json({"strings": [[1]]}), ValueError, "needs 'strings' and 'weights'"),
+        lambda: _parse_plan({"strings": [[1]]}), ValueError, "needs 'strings' and 'weights'"),
     "Identity dim": (lambda: Identity(0), ValueError, "dimension must be >= 1"),
     "empty ConvexCombination": (lambda: ConvexCombination(()), ValueError, "at least one term"),
     "empty Composition": (lambda: Composition(()), ValueError, "at least one operator"),
@@ -115,10 +116,10 @@ CASES = {
         lambda: FixedPointWitness([[np.nan]]), ValueError, "witness points must be finite"),
     "operator_from_json non-object": (
         lambda: operator_from_json([1.0]), ValueError, "operator document must be an object"),
-    "objective_from_json non-object": (
-        lambda: objective_from_json([1.0]), ValueError, "objective document must be an object"),
-    "objective_from_json unknown kind": (
-        lambda: objective_from_json({"kind": "huber"}), ValueError, "unknown objective kind 'huber'"),
+    "_parse_objective non-object": (
+        lambda: _parse_objective([1.0]), ValueError, "objective document must be an object"),
+    "_parse_objective unknown kind": (
+        lambda: _parse_objective({"kind": "huber"}), ValueError, "unknown objective kind 'huber'"),
     "empty StringPlan": (lambda: StringPlan((), ()), ValueError, "at least one string"),
     "ControlSchedule without operators": (
         lambda: ControlSchedule(operators=(), cycle=(simultaneous_plan(1),)),
