@@ -75,6 +75,17 @@ def norm(x) -> float:
     return math.sqrt(s) if x.ndim == 1 else np.sqrt(s)
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u_i @ v_i`` for every row i of the broadcast pair, as one batched matmul.
+
+    Each product's core is (1, n) @ (n, 1), which numpy hands to the same
+    ``cblas_ddot`` call, with the same strides, that the 1-D ``u_i @ v_i``
+    makes, so every dot keeps its bits, operand order included.  A gemv
+    ``A @ x`` would round differently.
+    """
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
 def check_weights(weights, count: int | None = None, what: str = "weights") -> tuple[float, ...]:
     """Validate a weight vector: finite, strictly positive, summing to one within eq_tol.
 

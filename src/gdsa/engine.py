@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Tolerances, as_vector, norm
+from .core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances, as_vector, norm
 from .operators import FixedPointWitness, Operator, _relaxed, apply, residual
 from .strings import ControlSchedule, PlanSignature, rho_constant
 
@@ -141,9 +141,17 @@ class PerturbationSchedule:
         return self.beta0 * self.decay**k
 
     def direction_stream(self, dim: int) -> Callable[[int], np.ndarray]:
-        """Per-run direction source; sequential calls must use k = 0, 1, 2, ..."""
+        """Per-run direction source; sequential calls must use k = 0, 1, 2, ...
+
+        Raises :class:`DimensionMismatchError` if a fixed direction is not in R^dim.
+        """
         if self.directions is not None:
             fixed = self.directions
+            for v in fixed:
+                if v.size != dim:
+                    raise DimensionMismatchError(
+                        f"perturbation direction dimension {v.size} differs from problem dimension {dim}"
+                    )
             return lambda k: fixed[k % len(fixed)]
         rng = np.random.default_rng(self.seed)
 

@@ -363,7 +363,10 @@ def config_hash(doc: dict) -> str:
 
 
 def _resolve_includes(doc, base_dir: Path):
-    """Replace {"include": "path"} nodes by the referenced JSON document."""
+    """Replace {"include": "path"} nodes by the referenced JSON document.
+
+    Returns fresh dicts and lists, so the result never aliases ``doc``.
+    """
     if isinstance(doc, dict):
         if set(doc.keys()) == {"include"}:
             target = base_dir / doc["include"]
@@ -489,6 +492,7 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
             perturb = PerturbationSchedule(
                 **_fields(p, beta0=_as_float, decay=_as_float, seed=_as_int, directions=_as_floats)
             )
+            perturb.direction_stream(problem.dim)  # refuses a direction of another dimension
         objective = None
         sup = None
         if "superiorization" in doc:

@@ -29,6 +29,7 @@ from .core import (
     DimensionMismatchError,
     SampleSpec,
     Tolerances,
+    _row_dots,
     as_vector,
     check_weights,
     norm,
@@ -244,27 +245,27 @@ def _relaxed(x: np.ndarray, tx: np.ndarray, lam: float) -> np.ndarray:
 class _HalfspaceFamily:
     """Stacked evaluation of ``sum_i w_i P_{H_i}(x)`` over half-spaces, for one vector x.
 
-    Equal bit for bit to the tree's ``w_0 T_0(x) + w_1 T_1(x) + ...``: the
-    dots are the leaves' own 1-D ``x @ a_i`` (a gemv ``A @ x`` rounds
-    differently), every elementwise operation is the leaf's, and the axis-0
-    reduce adds the rows in order starting from -0.0, the exact additive
-    identity, so a sum of -0.0 terms stays -0.0.  numpy adds row by row only
-    when the reduced axis is not the fast one in memory, so the family needs
-    dimension >= 2; in R^1 it would sum pairwise.
+    Equal bit for bit to the tree's ``w_0 T_0(x) + w_1 T_1(x) + ...``.  The m
+    dots are one batched matmul (``core._row_dots``) that runs the leaves' own
+    ``x @ a_i`` ddot per row, x first; a gemv ``A @ x`` is not used because it
+    rounds differently.  Every elementwise operation is the leaf's, and the
+    axis-0 reduce adds the rows in order starting from -0.0, the exact
+    additive identity, so a sum of -0.0 terms stays -0.0.  numpy adds row by
+    row only when the reduced axis is not the fast one in memory, so the
+    family needs dimension >= 2; in R^1 it would sum pairwise.
     """
 
-    __slots__ = ("rows", "matrix", "b", "aa", "w")
+    __slots__ = ("matrix", "b", "aa", "w")
 
     def __init__(self, terms: tuple[tuple[float, HalfspaceProjection], ...]) -> None:
         leaves = [op for _, op in terms]
-        self.rows = tuple(op.a for op in leaves)
-        self.matrix = _readonly(np.stack(self.rows))
+        self.matrix = _readonly(np.stack([op.a for op in leaves]))
         self.b = _readonly(np.array([op.b for op in leaves]))
         self.aa = _readonly(np.array([op._aa for op in leaves]))
         self.w = _readonly(np.array([[w] for w, _ in terms]))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        dots = np.array([x @ a for a in self.rows])
+        dots = _row_dots(x, self.matrix)
         scale = np.maximum(0.0, dots - self.b) / self.aa
         t = scale[:, None] * self.matrix
         np.subtract(x, t, out=t)
@@ -278,8 +279,10 @@ class ConvexCombination(Operator):
 
     Two or more half-space terms in dimension >= 2 evaluate a single vector
     without a zero coordinate through a stacked kernel (``_HalfspaceFamily``)
-    equal to the sum below bit for bit; stacks of vectors, vectors with a zero
-    coordinate and every other mix of terms use the sum.
+    equal to the sum below bit for bit: its dots are one batched matmul of
+    per-row ddots, the leaves' own rounding (a gemv would round differently),
+    and its sum adds the terms in order.  Stacks of vectors, vectors with a
+    zero coordinate and every other mix of terms use the sum.
     """
 
     terms: tuple[tuple[float, Operator], ...]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import interval_distance, simultaneous_schedule
-from gdsa.core import DEFAULT_TOLERANCES, SampleSpec, norm
+from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, norm
 from gdsa.engine import (
     IterationTrace,
     NonFiniteIterateError,
@@ -156,6 +156,17 @@ class TestRun:
         trace = run(interval_schedule, unit_relax, [7.3], perturb=perturb, stop=default_stop)
         assert np.sign(trace.perturbations[0, 0]) == 1.0
         assert np.sign(trace.perturbations[1, 0]) == -1.0
+
+    def test_a_direction_of_another_dimension_is_refused(self, ball_schedule, unit_relax, default_stop):
+        assert ball_schedule.dim == 2
+        for bad in ([1.0], [1.0, 0.0, 0.0]):
+            perturb = PerturbationSchedule(directions=(np.array([0.0, 1.0]), np.array(bad)))
+            message = f"direction dimension {len(bad)} differs from problem dimension 2"
+            with pytest.raises(DimensionMismatchError, match=message):
+                run(ball_schedule, unit_relax, [4.0, -2.5], perturb=perturb, stop=default_stop)
+        perturb = PerturbationSchedule(directions=(np.array([0.0, 1.0]), np.array([-1.0, 0.0])))
+        trace = run(ball_schedule, unit_relax, [4.0, -2.5], perturb=perturb, stop=default_stop)
+        assert trace.perturbations.shape == (trace.iterations, 2)
 
     def test_direction_norm_bounded(self):
         with pytest.raises(ValueError):

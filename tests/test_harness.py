@@ -334,6 +334,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="includes itself"):
             parse_config(doc, tmp_path)
 
+    def test_resolved_config_never_aliases_the_callers_document(self, tmp_path):
+        (tmp_path / "problem.json").write_text(json.dumps(CONFIG_DOC["problem"]))
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["perturbation"] = {"directions": [[1.0], [-1.0]]}
+        doc["superiorization_note"] = {"tags": ["a", None, True, 1, 2.5, []]}  # unknown key, kept in raw
+        original = json.loads(json.dumps(doc))
+        raw = parse_config(doc).raw
+        assert raw == original and harness.config_hash(raw) == harness.config_hash(original)
+
+        def containers(node):
+            if isinstance(node, dict):
+                yield node
+                for v in node.values():
+                    yield from containers(v)
+            elif isinstance(node, list):
+                yield node
+                for v in node:
+                    yield from containers(v)
+
+        assert not {id(c) for c in containers(raw)} & {id(c) for c in containers(doc)}
+        raw["x0"][0] = 0.0
+        raw["perturbation"]["directions"][0][0] = 0.0
+        assert doc == original
+        doc["problem"] = {"include": "problem.json"}
+        included = parse_config(doc, tmp_path).raw
+        assert included["problem"] == CONFIG_DOC["problem"] and included["x0"] is not doc["x0"]
+
     def test_json_nested_past_the_recursion_limit_raises_config_error(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -1111,6 +1138,31 @@ class TestCli:
         assert main([command, str(path), *flags]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+    def test_a_direction_of_another_dimension_exits_2(self, tmp_path, command, capsys):
+        # R^2 with a one-entry direction: the run used to broadcast it over
+        # both coordinates and fail only when writing trace.csv
+        doc = {
+            "problem": {"dim": 2, "sets": [
+                {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                {"kind": "halfspace", "a": [1.0, 1.0], "b": 0.5},
+            ]},
+            "schedule": {"cycle": [{"strings": [[1], [2]], "weights": [0.5, 0.5]}]},
+            "relaxation": {"epsilon": 0.05, "constant": 1.0},
+            "x0": [4.0, -2.5],
+            "perturbation": {"directions": [[1.0]]},
+        }
+        path = tmp_path / "short_direction.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), *flags]) == 2
+        assert "perturbation direction dimension 1 differs from problem dimension 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="direction dimension 3 differs"):
+            parse_config(with_key(doc, "perturbation.directions", [[1.0, 0.0, 0.0]]))
+        doc["perturbation"]["directions"] = [[1.0, 0.0], [0.0, -1.0]]
+        assert len(parse_config(doc).perturb.directions) == 2
 
     def test_each_seed_holder_refuses_a_negative_seed(self):
         config = parse_config(json.loads(json.dumps(CONFIG_DOC)))
