@@ -40,6 +40,12 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _check_dim(what: str, size: int, dim: int) -> None:
+    """Refuse a ``what`` of dimension ``size`` where the problem lives in R^``dim``."""
+    if size != dim:
+        raise DimensionMismatchError(f"{what} dimension {size} differs from problem dimension {dim}")
+
+
 def _as_int(value) -> int:
     """``int(value)``, except that a boolean, a string or a float with a
     fractional part is refused, not converted."""

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances, as_vector, norm
+from .core import DEFAULT_TOLERANCES, Tolerances, _check_dim, as_vector, norm
 from .operators import FixedPointWitness, Operator, _relaxed, apply, residual
 from .strings import ControlSchedule, PlanSignature, rho_constant
 
@@ -148,20 +148,13 @@ class PerturbationSchedule:
         if self.directions is not None:
             fixed = self.directions
             for v in fixed:
-                if v.size != dim:
-                    raise DimensionMismatchError(
-                        f"perturbation direction dimension {v.size} differs from problem dimension {dim}"
-                    )
+                _check_dim("perturbation direction", v.size, dim)
             return lambda k: fixed[k % len(fixed)]
         rng = np.random.default_rng(self.seed)
 
         def draw(_k: int) -> np.ndarray:
-            v = rng.standard_normal(dim)
-            n = float(np.sqrt(v @ v))
-            while n == 0.0:  # astronomically unlikely; redraw for a valid unit vector
-                v = rng.standard_normal(dim)
-                n = float(np.sqrt(v @ v))
-            return v / n
+            v = rng.standard_normal(dim)  # all zeros with probability 0
+            return v / float(np.sqrt(v @ v))
 
         return draw
 
@@ -335,10 +328,12 @@ def fejer_monitor(
     """Check the per-step distance-decrease inequality against witness points.
 
     Witnesses must be caller-certified common fixed points of all scheduled
-    averaged operators; the coefficient is eps / (1 + rho - eps).
+    averaged operators; the coefficient is eps / (1 + rho - eps).  Raises
+    :class:`DimensionMismatchError` if the witnesses are not in the trace's space.
     """
-    coeff = epsilon / (1.0 + rho - epsilon)
     xs = trace.iterates
+    _check_dim("witness", witnesses.points.shape[-1], xs.shape[-1])
+    coeff = epsilon / (1.0 + rho - epsilon)
     steps2 = np.sum((xs[1:] - xs[:-1]) ** 2, axis=-1)
     per_step_min = np.full(trace.iterations, np.inf)
     for z in witnesses.points:

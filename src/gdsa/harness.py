@@ -1,4 +1,4 @@
-"""Problem instances, brute-force oracles, experiment configuration, and
+"""The problem container, brute-force oracles, experiment configuration, and
 trace/summary persistence.
 
 The oracles here form the independent verification channel: they rely only on
@@ -20,8 +20,8 @@ import numpy as np
 
 from ._float_text import CELL, format_17g
 from .core import (
-    DEFAULT_TOLERANCES, DimensionMismatchError, Tolerances, _as_float, _as_floats, _as_int, as_vector,
-    check_weights, norm,
+    DEFAULT_TOLERANCES, Tolerances, _as_float, _as_floats, _as_int, _check_dim, as_vector, check_weights,
+    norm,
 )
 from .engine import (
     IterationTrace,
@@ -47,10 +47,6 @@ __all__ = [
     "fixed_point_oracle",
     "constrained_min_oracle",
     "certified_c_witness",
-    "two_interval_problem",
-    "two_ball_problem",
-    "segment_problem",
-    "overlapping_ball_problem",
     "load_config",
     "operator_from_json",
     "parse_config",
@@ -86,8 +82,7 @@ class ProblemInstance:
         if not projectors:
             raise ValueError("a problem needs at least one set")
         for p in projectors:
-            if p.dim != self.dim:
-                raise DimensionMismatchError("projector dimension differs from problem dimension")
+            _check_dim("projector", p.dim, self.dim)
         object.__setattr__(self, "projectors", projectors)
 
     @property
@@ -192,13 +187,13 @@ def fixed_point_oracle(
     """Plain Picard iteration of ``op`` from x0 down to residual conv_tol/100.
 
     ``x0`` is one start point or a (k, n) stack of them.  Each row stops at
-    the first iterate that passes the residual test, so a stack returns the
-    rows that separate calls would return.  Independent of the relaxed
-    engine loop.  Plain iteration converges for averaged operators
-    (``propagate_alpha(op) < 2``); a reflection (alpha = 2) is refused at
-    once, an operator without a derivable alpha must declare one, and the
-    hard iteration cap ``_ORACLE_PICARD_CAP`` guards the rest.  No dimension
-    limit applies.
+    its first iterate that passes the residual test.  A stack goes through
+    the stacked formulas of ``op``, so its rows agree with separate calls
+    only up to rounding.  Independent of the relaxed engine loop.  Plain
+    iteration converges for averaged operators (``propagate_alpha(op) < 2``);
+    a reflection (alpha = 2) is refused at once, an operator without a
+    derivable alpha must declare one, and the hard iteration cap
+    ``_ORACLE_PICARD_CAP`` guards the rest.  No dimension limit applies.
     """
     if propagate_alpha(op) >= 2.0:
         raise OracleIterationCapError(
@@ -268,54 +263,6 @@ def certified_c_witness(
     if all(residual(op, z) <= 10.0 * tolerances.conv_tol for op in ops):
         return z
     return None
-
-
-# Ready-made desk-scale instances used across the test and acceptance suites.
-
-
-def two_interval_problem() -> ProblemInstance:
-    """Two disjoint intervals [-3, -1] and [1, 3] on the line; the equally
-    weighted simultaneous iteration settles at 0, the midpoint of the gap."""
-    return ProblemInstance(
-        dim=1,
-        projectors=(
-            BoxProjection(np.array([-3.0]), np.array([-1.0])),
-            BoxProjection(np.array([1.0]), np.array([3.0])),
-        ),
-    )
-
-
-def two_ball_problem() -> ProblemInstance:
-    """Two disjoint unit balls centered (-2, 1) and (2, 1); the equally
-    weighted simultaneous iteration settles at (0, 1)."""
-    return ProblemInstance(
-        dim=2,
-        projectors=(
-            BallProjection(np.array([-2.0, 1.0]), 1.0),
-            BallProjection(np.array([2.0, 1.0]), 1.0),
-        ),
-    )
-
-
-def segment_problem() -> ProblemInstance:
-    """A single degenerate box: the segment from (-1, 0) to (1, 0)."""
-    return ProblemInstance(
-        dim=2,
-        projectors=(BoxProjection(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),),
-    )
-
-
-def overlapping_ball_problem() -> ProblemInstance:
-    """Two balls of radius sqrt(2) centered (-1, 0) and (1, 0); their
-    intersection is a lens around the origin, so the sets intersect."""
-    r = float(np.sqrt(2.0))
-    return ProblemInstance(
-        dim=2,
-        projectors=(
-            BallProjection(np.array([-1.0, 0.0]), r),
-            BallProjection(np.array([1.0, 0.0]), r),
-        ),
-    )
 
 
 @dataclass(frozen=True)
@@ -446,7 +393,9 @@ def _parse_schedule(doc: dict, problem: ProblemInstance) -> ControlSchedule:
         operators = problem.projectors
     cycle = tuple(_parse_plan(p) for p in doc["cycle"])
     preamble = tuple(_parse_plan(p) for p in doc.get("preamble", []))
-    return ControlSchedule(operators=operators, cycle=cycle, preamble=preamble)
+    schedule = ControlSchedule(operators=operators, cycle=cycle, preamble=preamble)
+    _check_dim("schedule operator", schedule.dim, problem.dim)
+    return schedule
 
 
 def _fields(doc: dict, **casts) -> dict:
@@ -500,10 +449,8 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
             if "objective" not in s:
                 raise ConfigError("superiorization needs an 'objective'")
             objective = _parse_objective(s["objective"])
-            if objective.dim is not None and objective.dim != problem.dim:
-                raise ConfigError(
-                    f"objective dimension {objective.dim} differs from problem dimension {problem.dim}"
-                )
+            if objective.dim is not None:
+                _check_dim("objective", objective.dim, problem.dim)
             sup = SuperiorizationSchedule(**_fields(s, beta0=_as_float, decay=_as_float, steps=_as_int))
         if perturb is not None and sup is not None:
             raise ConfigError("choose either 'perturbation' or 'superiorization', not both")

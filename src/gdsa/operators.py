@@ -29,6 +29,7 @@ from .core import (
     DimensionMismatchError,
     SampleSpec,
     Tolerances,
+    _check_dim,
     _row_dots,
     as_vector,
     check_weights,
@@ -473,6 +474,7 @@ class _Draw:
         )
 
     def cutter(self, tx, witness: FixedPointWitness, tolerances: Tolerances) -> CheckReport:
+        _check_dim("witness", witness.points.shape[-1], tx.shape[-1])
         step = self.xs - tx
         worst = -np.inf
         for z in witness.points:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Tolerances, as_vector, norm
+from .core import DEFAULT_TOLERANCES, Tolerances, _check_dim, as_vector, norm
 from .engine import IterationTrace, RelaxationSchedule, StopRule, _run_loop
 from .strings import ControlSchedule
 
@@ -210,8 +210,11 @@ def superiorized_run(
     Step k shifts the iterate by the steering directions' weighted sum and
     applies the relaxed plan operator at the shifted point.  The trace
     additionally records the objective value at every iterate and the shift
-    budget remaining after every step.
+    budget remaining after every step.  Raises :class:`DimensionMismatchError`
+    if ``phi`` needs a dimension other than the schedule's.
     """
+    if phi.dim is not None:
+        _check_dim("objective", phi.dim, schedule.dim)
 
     def shift_at(k: int, y: np.ndarray) -> np.ndarray:
         betas = sup.betas_at(k)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import simultaneous_schedule
+from conftest import segment_problem, simultaneous_schedule, two_ball_problem, two_interval_problem
 from gdsa.cli import main
 from gdsa.core import SampleSpec
 from gdsa.engine import (
@@ -28,9 +28,6 @@ from gdsa.harness import (
     constrained_min_oracle,
     fixed_point_oracle,
     proximity_argmin_oracle,
-    two_ball_problem,
-    two_interval_problem,
-    segment_problem,
 )
 from gdsa.operators import (
     BoxProjection,

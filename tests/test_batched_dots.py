@@ -11,15 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import same_bits, tree_sum
 from gdsa.core import _row_dots
 from gdsa.engine import RelaxationSchedule, StopRule, run
 from gdsa.operators import ConvexCombination, HalfspaceProjection
 from gdsa.strings import ControlSchedule, simultaneous_plan
-
-
-def same_bits(u, v) -> bool:
-    u, v = np.asarray(u), np.asarray(v)
-    return u.shape == v.shape and u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
 
 def scaled_rows(rng, m: int, n: int) -> np.ndarray:
@@ -50,14 +46,6 @@ def test_row_dots_of_a_strided_matrix_view():
     x = rng.standard_normal(1000)
     assert same_bits(_row_dots(x, a), np.array([x @ row for row in a]))
     assert same_bits(_row_dots(a, x), np.array([row @ x for row in a]))
-
-
-def tree_sum(terms, x):
-    """Sum of w_i * leaf.apply(x), accumulated left to right."""
-    out = terms[0][0] * terms[0][1].apply(x)
-    for w, op in terms[1:]:
-        out = out + w * op.apply(x)
-    return out
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.5])

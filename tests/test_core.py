@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import two_interval_problem
 from gdsa.core import (
     DEFAULT_TOLERANCES,
     SampleSpec,
@@ -13,7 +14,7 @@ from gdsa.core import (
     check_weights,
     norm,
 )
-from gdsa.harness import proximity_value, two_interval_problem
+from gdsa.harness import proximity_value
 from gdsa.operators import ConvexCombination, Identity
 from gdsa.strings import IndexString, StringPlan
 

@@ -341,6 +341,15 @@ class TestFejerMonitor:
         with pytest.raises(ValueError):
             fejer_monitor(trace, FixedPointWitness(np.zeros((0, 1))), 0.05, 1.0)
 
+    def test_a_witness_of_another_dimension_is_refused(self, ball_schedule, unit_relax, default_stop):
+        # unchecked, an R^1 witness would broadcast to (0.75, 0.75) against an R^2 trace
+        trace = run(ball_schedule, unit_relax, [3.0, 4.0], stop=default_stop)
+        for bad in ([[0.75]], [[0.75, 0.75, 0.75]]):
+            message = f"witness dimension {len(bad[0])} differs from problem dimension 2"
+            with pytest.raises(DimensionMismatchError, match=message):
+                fejer_monitor(trace, FixedPointWitness(bad), 0.05, 1.0)
+        assert fejer_monitor(trace, FixedPointWitness([[0.0, 1.0]]), 0.05, 1.0).passed
+
 
 class TestDistanceDecay:
     def test_converged_run_residuals_vanish(self, two_interval, interval_schedule, unit_relax, default_stop):

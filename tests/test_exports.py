@@ -44,3 +44,22 @@ def test_no_unused_from_imports(module):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_public_name_is_reached_inside_the_package():
+    # A listed name stays only if the package reaches it: gdsa/__init__.py imports
+    # it, or some module names it, reads it as an attribute or imports it.  Its
+    # own def/class and its __all__ string are not Name, Attribute or alias nodes.
+    reached = set()
+    for path in Path(gdsa.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+            elif isinstance(node, ast.alias):
+                reached.add(node.name)
+    unreached = [
+        f"{module.__name__}.{name}" for module in MODULES for name in module.__all__ if name not in reached
+    ]
+    assert unreached == []

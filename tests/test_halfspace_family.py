@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bits, tree_sum
 from gdsa.engine import RelaxationSchedule, StopRule, run
 from gdsa.operators import (
     BallProjection,
@@ -22,18 +23,6 @@ from gdsa.operators import (
     apply,
 )
 from gdsa.strings import ControlSchedule, simultaneous_plan
-
-
-def tree_sum(terms, x):
-    """Sum of w_i * leaf.apply(x), accumulated left to right."""
-    out = terms[0][0] * terms[0][1].apply(x)
-    for w, op in terms[1:]:
-        out = out + w * op.apply(x)
-    return out
-
-
-def same_bits(u, v) -> bool:
-    return u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 def random_family(m: int, n: int, seed: int):

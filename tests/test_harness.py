@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import simultaneous_schedule
+from conftest import overlapping_ball_problem, simultaneous_schedule, two_ball_problem, two_interval_problem
 from gdsa import harness
 from gdsa.cli import main
-from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances
+from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances, norm
 from gdsa.engine import IterationTrace, PerturbationSchedule, RelaxationSchedule, StopRule, run
 from gdsa.harness import (
     ConfigError,
@@ -24,12 +24,9 @@ from gdsa.harness import (
     certified_c_witness,
     fixed_point_oracle,
     load_config,
-    overlapping_ball_problem,
     parse_config,
     proximity_argmin_oracle,
     proximity_value,
-    two_ball_problem,
-    two_interval_problem,
     write_summary_json,
     write_trace_csv,
 )
@@ -43,6 +40,7 @@ from gdsa.operators import (
     Identity,
     Relaxation,
     propagate_alpha,
+    residual,
 )
 from gdsa.strings import ControlSchedule, StringPlan, signature_str, simultaneous_plan
 from gdsa.superiorize import L1Norm, SuperiorizationSchedule, superiorized_run
@@ -102,6 +100,24 @@ class TestFixedPointOracle:
         stacked = fixed_point_oracle(op, starts)
         singles = np.stack([fixed_point_oracle(op, x0) for x0 in starts])
         assert np.array_equal(stacked, singles)
+
+    @pytest.mark.parametrize("n", [3, 10, 100])
+    def test_stack_rows_pass_the_residual_test_and_agree_up_to_rounding(self, n):
+        # a stack goes through the stacked formulas, so its rows may differ from
+        # separate calls in the last bits (by about 1e-14 here); both pass the
+        # same residual test, so they may lie up to that test's tolerance apart
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(n)
+        sets = [HalfspaceProjection(a, float(a @ z) + rng.uniform(0.0, 1.0)) for a in rng.standard_normal((4, n))]
+        a = rng.standard_normal(n)
+        sets.append(HyperplaneProjection(a, float(a @ z)))
+        op = ConvexCombination(tuple((0.2, s) for s in sets))
+        starts = 10.0 * rng.standard_normal((5, n))
+        tol = DEFAULT_TOLERANCES.conv_tol / 100.0
+        stacked = fixed_point_oracle(op, starts)
+        singles = np.stack([fixed_point_oracle(op, x0) for x0 in starts])
+        assert np.all(residual(op, stacked) <= tol)
+        assert np.all(norm(stacked - singles) <= tol)
 
     def test_reflection_is_refused_at_once(self):
         reflection = Relaxation(HyperplaneProjection([1.0], 0.0), 2.0)
@@ -1163,6 +1179,36 @@ class TestCli:
             parse_config(with_key(doc, "perturbation.directions", [[1.0, 0.0, 0.0]]))
         doc["perturbation"]["directions"] = [[1.0, 0.0], [0.0, -1.0]]
         assert len(parse_config(doc).perturb.directions) == 2
+
+    @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+    def test_schedule_operators_of_another_dimension_exit_2(self, tmp_path, command, capsys):
+        # R^3 operators on an R^2 problem: unchecked, verify would print its
+        # checks and fail mid-run, run and oracle only once the iteration trips
+        doc = {
+            "problem": {"dim": 2, "sets": [
+                {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                {"kind": "halfspace", "a": [1.0, 1.0], "b": 0.5},
+            ]},
+            "schedule": {
+                "operators": [
+                    {"kind": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+                    {"kind": "halfspace", "a": [1.0, 1.0, 1.0], "b": 0.5},
+                ],
+                "cycle": [{"strings": [[1], [2]], "weights": [0.5, 0.5]}],
+            },
+            "relaxation": {"epsilon": 0.05, "constant": 1.0},
+            "x0": [4.0, -2.5],
+        }
+        path = tmp_path / "wide_operators.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "schedule operator dimension 3 differs from problem dimension 2" in err
+        assert not (tmp_path / "out").exists()
+        del doc["schedule"]["operators"]
+        assert parse_config(doc).schedule.dim == 2
 
     def test_each_seed_holder_refuses_a_negative_seed(self):
         config = parse_config(json.loads(json.dumps(CONFIG_DOC)))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bits
 from gdsa.core import norm
 from gdsa.engine import RelaxationSchedule, StopRule, run
 from gdsa.operators import BallProjection, HalfspaceProjection, HyperplaneProjection
@@ -36,10 +37,6 @@ def old_ball(op, x):
     d = norm(delta)
     scale = np.where(d > op.radius, op.radius / np.where(d == 0.0, 1.0, d), 1.0)
     return op.center + scale[..., None] * delta
-
-
-def same_bits(u, v) -> bool:
-    return u.shape == v.shape and u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
 
 def has_negative_zero(x) -> bool:

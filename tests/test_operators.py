@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gdsa.core import DEFAULT_TOLERANCES, SampleSpec
+from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec
 from gdsa.harness import operator_from_json
 from gdsa.operators import (
     AlphaUnknownError,
@@ -186,6 +186,15 @@ class TestInequalityChecks:
         witness = FixedPointWitness(np.array([[3.0, -1.0]]))
         report = check_cutter(Identity(2), witness, SampleSpec(dim=2, seed=12))
         assert report.passed and report.max_violation == 0.0
+
+    def test_a_cutter_witness_of_another_dimension_is_refused(self):
+        # unchecked, an R^1 witness would broadcast over both coordinates of the box and pass
+        box = BoxProjection(np.zeros(2), np.ones(2))
+        for bad in ([[0.5]], [[0.5, 0.5, 0.5]]):
+            message = f"witness dimension {len(bad[0])} differs from problem dimension 2"
+            with pytest.raises(DimensionMismatchError, match=message):
+                check_cutter(box, FixedPointWitness(bad), SampleSpec(dim=2, seed=16))
+        assert check_cutter(box, FixedPointWitness([[0.5, 0.5]]), SampleSpec(dim=2, seed=16)).passed
 
     def test_underrelaxed_cutter_still_cutter(self):
         witness = FixedPointWitness(np.zeros((1, 2)))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simultaneous_schedule
-from gdsa.core import DEFAULT_TOLERANCES, SampleSpec, Tolerances
+from conftest import segment_problem, simultaneous_schedule
+from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances
 from gdsa.engine import IterationTrace, RelaxationSchedule, StopRule, run
 from gdsa.harness import _parse_objective, constrained_min_oracle, GridSpec
 from gdsa.operators import residual
@@ -166,6 +166,16 @@ class TestSuperiorizedRun:
         zmin = constrained_min_oracle(two_interval, (0.5, 0.5), phi, GridSpec(-5, 5, 21))
         assert abs(trace.final[0] - zmin[0]) <= 1e-6  # alternative (i)
 
+    def test_an_objective_of_another_dimension_is_refused(self, ball_schedule, unit_relax, default_stop):
+        # unchecked, center [5.0] would broadcast to (5, 5) and steer an R^2 run there
+        sup = SuperiorizationSchedule(beta0=0.5, decay=0.9)
+        for phi in (WeightedSquaredNorm(np.array([5.0])), MaxOfAffine(((np.ones(3), 0.0),))):
+            message = f"objective dimension {phi.dim} differs from problem dimension 2"
+            with pytest.raises(DimensionMismatchError, match=message):
+                superiorized_run(ball_schedule, unit_relax, phi, sup, [3.0, 4.0], stop=default_stop)
+        phi = WeightedSquaredNorm(np.array([5.0, 5.0]))
+        assert superiorized_run(ball_schedule, unit_relax, phi, sup, [3.0, 4.0], stop=default_stop).converged
+
     def test_trace_records_phi_and_budget(self, interval_schedule, unit_relax, default_stop):
         phi = WeightedSquaredNorm(np.array([0.0]))
         sup = SuperiorizationSchedule(beta0=0.5, decay=0.9)
@@ -209,8 +219,6 @@ class TestSuperiorizedRun:
 
 
 def segment_setup():
-    from gdsa.harness import segment_problem
-
     problem = segment_problem()
     schedule = simultaneous_schedule(problem)
     phi = MaxOfAffine(((np.array([1.0, 0.0]), 0.0),))  # phi(x) = x1
