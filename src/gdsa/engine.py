@@ -178,10 +178,11 @@ class IterationTrace:
     """Per-step record of a run.
 
     ``iterates`` has one more row than the step-indexed arrays; row k is the
-    iterate before step k.  ``perturbations`` holds the aggregate shift added
-    before the operator was applied at each step (None when unperturbed).
-    Superiorized runs additionally fill ``phi_values`` (one per iterate) and
-    ``perturb_budget_remaining`` (one per step).
+    iterate before step k.  ``perturbations`` holds, for each step, the norm
+    ||shift_k|| of the aggregate shift added before the operator was applied:
+    a finite, nonnegative array of shape (iterations,), or None when
+    unperturbed.  Superiorized runs additionally fill ``phi_values`` (one per
+    iterate) and ``perturb_budget_remaining`` (one per step).
     """
 
     iterates: np.ndarray
@@ -196,6 +197,16 @@ class IterationTrace:
     def __post_init__(self) -> None:
         if len(self.iterates) != len(self.step_norms) + 1:
             raise ValueError("trace must hold iterations + 1 iterates")
+        if self.perturbations is not None:
+            p = np.asarray(self.perturbations, dtype=float)
+            if p.shape != (self.iterations,):
+                raise ValueError(
+                    f"perturbations must hold one shift norm per step, shape ({self.iterations},), "
+                    f"got shape {p.shape}"
+                )
+            if not np.all(np.isfinite(p) & (p >= 0.0)):
+                raise ValueError("perturbation norms must be finite and nonnegative")
+            self.perturbations = p
 
     @property
     def iterations(self) -> int:
@@ -215,6 +226,10 @@ def gdsa_step(x: np.ndarray, plan_op: Operator, lam: float) -> np.ndarray:
     return _relaxed(x, apply(plan_op, x), lam)
 
 
+# rows of the iterate record before its first doubling
+_RECORD_ROWS0 = 64
+
+
 def _run_loop(
     schedule: ControlSchedule,
     relax: RelaxationSchedule,
@@ -224,21 +239,28 @@ def _run_loop(
 ) -> IterationTrace:
     """Shared driver for plain, perturbed, and superiorized runs.
 
-    ``shift_at(k, x)`` returns the shift added to x before step k; without it
-    every step is unperturbed and the trace records no perturbations (None).
-    Each step is :func:`gdsa_step` without its per-call conversion and
-    dimension check: x0 passed ``as_vector``, and operators keep the dimension.
+    ``shift_at(k, x)`` returns the shift added to x before step k; the trace
+    records its norm.  Without it every step is unperturbed and the trace
+    records no perturbations (None).  Each step is :func:`gdsa_step` without
+    its per-call conversion and dimension check: x0 passed ``as_vector``, and
+    operators keep the dimension.
+
+    Iterates are written into one (capacity, n) array that doubles when full,
+    up to ``max_iters + 1`` rows; rows past the filled ones are never written,
+    and the trace gets a view of exactly the filled rows.
     """
     rho = rho_constant(schedule)
     relax.validate(rho)
     x = as_vector(x0, dim=schedule.dim)
 
-    # the lists only feed the stacked arrays below, which copy every row
-    iterates = [x]
+    cap = stop.max_iters + 1
+    record = np.empty((min(_RECORD_ROWS0, cap), x.size))
+    record[0] = x
+    rows = 1
     step_norms: list[float] = []
     lambdas: list[float] = []
     signatures: list[PlanSignature] = []
-    shifts: list[np.ndarray] = []
+    shift_norms: list[float] = []
 
     quiet_streak = 0
     converged = False
@@ -250,7 +272,7 @@ def _run_loop(
             y = x
         else:
             shift = shift_at(k, x)
-            shifts.append(shift)
+            shift_norms.append(norm(shift))
             y = x + shift
         x_next = _relaxed(y, op.apply(y), lam)
         step = norm(x_next - x)
@@ -258,7 +280,12 @@ def _run_loop(
         if not math.isfinite(step) and not np.all(np.isfinite(x_next)):
             raise NonFiniteIterateError(k, f"non-finite iterate at step {k} (lam={lam:g})")
 
-        iterates.append(x_next)
+        if rows == len(record):
+            grown = np.empty((min(2 * rows, cap), x.size))
+            grown[:rows] = record
+            record = grown
+        record[rows] = x_next
+        rows += 1
         step_norms.append(step)
         lambdas.append(lam)
         signatures.append(plan.signature())
@@ -270,11 +297,11 @@ def _run_loop(
             break
 
     return IterationTrace(
-        iterates=np.asarray(iterates),
+        iterates=record[:rows],
         step_norms=np.asarray(step_norms),
         lambdas=np.asarray(lambdas),
         plan_signatures=tuple(signatures),
-        perturbations=None if shift_at is None else np.asarray(shifts, dtype=float),
+        perturbations=None if shift_at is None else np.asarray(shift_norms, dtype=float),
         converged=converged,
     )
 
@@ -289,9 +316,11 @@ def run(
     """Run the iteration from x0 until the stop rule fires or max_iters.
 
     With ``perturb`` given, step k applies the relaxed operator at
-    ``x_k + beta_k * v_k`` (perturbation before the operator); without it
-    ``trace.perturbations`` is None.  The relaxation schedule is validated
-    against the schedule's rho before any step is taken.
+    ``x_k + beta_k * v_k`` (perturbation before the operator) and
+    ``trace.perturbations[k]`` is ||beta_k * v_k||; without it
+    ``trace.perturbations`` is None.  The trace keeps 8 * n + O(1) bytes
+    per step.  The relaxation schedule is validated against the schedule's
+    rho before any step is taken.
     """
     shift_at = None
     if perturb is not None:

@@ -497,7 +497,8 @@ def write_trace_csv(
     """Persist a trace with 17-significant-digit decimals (byte-reproducible).
 
     Row k holds iterate k; the step-indexed columns are empty on the final
-    row.  perturb_norm is 0 throughout for a trace without perturbations.
+    row.  perturb_norm is ``trace.perturbations[k]``, the recorded norm of
+    step k's shift, and 0 throughout for a trace without perturbations.
     Superiorized traces gain phi_value and budget columns.  Every number is
     written as format(v, ".17g") would write it, in blocks of rows.
     """
@@ -521,8 +522,8 @@ def write_trace_csv(
     label_of = np.array([plans[sig] for sig in trace.plan_signatures] + [len(labels) - 1], dtype=np.intp)
     ends = np.full(ncols, ord(","), dtype=np.uint8)
     ends[-1] = ord("\n")
-    shifts = trace.perturbations
-    per_step = (trace.lambdas, trace.plan_signatures, shifts, fejer_slack_min, trace.perturb_budget_remaining)
+    shift_norms = trace.perturbations
+    per_step = (trace.lambdas, trace.plan_signatures, shift_norms, fejer_slack_min, trace.perturb_budget_remaining)
     if any(c is not None and len(c) != n for c in per_step) or (superiorized and len(trace.phi_values) != n + 1):
         raise ValueError(f"trace columns do not all have {n} steps")
     with open(path, "wb") as fh:
@@ -536,8 +537,8 @@ def write_trace_csv(
             values[:, 1:dim + 1] = trace.iterates[r0:r0 + rows]
             values[:steps, dim + 1] = trace.step_norms[r0:r0 + steps]
             values[:steps, dim + 2] = trace.lambdas[r0:r0 + steps]
-            if shifts is not None:
-                values[:steps, dim + 4] = norm(np.reshape(shifts[r0:r0 + steps], (steps, dim)))
+            if shift_norms is not None:
+                values[:steps, dim + 4] = shift_norms[r0:r0 + steps]
             if fejer_slack_min is not None:
                 values[:steps, dim + 5] = fejer_slack_min[r0:r0 + steps]
             if superiorized:

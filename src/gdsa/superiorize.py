@@ -178,10 +178,13 @@ def perturbation_directions(
 
     v_{n+1} is the negated normalized subgradient selection at the partially
     shifted point ``y + sum_{i<=n} betas[i] * v_i``, or zero when the selected
-    subgradient's norm is at or below subgrad_zero_tol.
+    subgradient's norm is at or below subgrad_zero_tol.  Raises
+    :class:`DimensionMismatchError` if ``phi`` needs a dimension other than y's.
     """
     betas = np.asarray(betas, dtype=float).tolist()
     point = np.asarray(y, dtype=float)
+    if phi.dim is not None:
+        _check_dim("objective", phi.dim, point.size)
     dirs: list[np.ndarray] = []
     for beta in betas:
         if not math.isfinite(phi.evaluate(point)):
@@ -208,13 +211,14 @@ def superiorized_run(
     """Run the superiorized iteration from y0.
 
     Step k shifts the iterate by the steering directions' weighted sum and
-    applies the relaxed plan operator at the shifted point.  The trace
+    applies the relaxed plan operator at the shifted point;
+    ``trace.perturbations[k]`` is the norm of that sum.  The trace
     additionally records the objective value at every iterate and the shift
     budget remaining after every step.  Raises :class:`DimensionMismatchError`
-    if ``phi`` needs a dimension other than the schedule's.
+    if ``phi`` needs a dimension other than the schedule's; the check is made
+    by :func:`perturbation_directions`, so it fires at step 0 before the plan
+    operator is first applied.
     """
-    if phi.dim is not None:
-        _check_dim("objective", phi.dim, schedule.dim)
 
     def shift_at(k: int, y: np.ndarray) -> np.ndarray:
         betas = sup.betas_at(k)

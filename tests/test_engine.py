@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import interval_distance, simultaneous_schedule
 from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, norm
 from gdsa.engine import (
+    _RECORD_ROWS0,
     IterationTrace,
     NonFiniteIterateError,
     PerturbationSchedule,
@@ -152,10 +154,18 @@ class TestRun:
         assert np.array_equal(t1.perturbations, t2.perturbations)
 
     def test_fixed_direction_list_is_cycled(self, interval_schedule, unit_relax, default_stop):
-        perturb = PerturbationSchedule(beta0=0.5, decay=0.9, directions=(np.array([1.0]), np.array([-1.0])))
+        directions = (np.array([1.0]), np.array([-1.0]))
+        perturb = PerturbationSchedule(beta0=0.5, decay=0.9, directions=directions)
         trace = run(interval_schedule, unit_relax, [7.3], perturb=perturb, stop=default_stop)
-        assert np.sign(trace.perturbations[0, 0]) == 1.0
-        assert np.sign(trace.perturbations[1, 0]) == -1.0
+        # the run is the loop that adds +beta_k on even steps and -beta_k on odd ones
+        xs, shifts, _ = hand_loop(interval_schedule, 1.0, [7.3], trace.iterations,
+                                  lambda k, _x: perturb.beta_at(k) * directions[k % 2])
+        assert trace.iterates.tobytes() == xs.tobytes()
+        assert trace.perturbations.tobytes() == norm(shifts).tobytes()
+        # and not the loop that starts the cycle with -1: its third iterate differs
+        flipped, _, _ = hand_loop(interval_schedule, 1.0, [7.3], 2,
+                                  lambda k, _x: perturb.beta_at(k) * directions[1 - k % 2])
+        assert flipped[2, 0] != xs[2, 0]
 
     def test_a_direction_of_another_dimension_is_refused(self, ball_schedule, unit_relax, default_stop):
         assert ball_schedule.dim == 2
@@ -164,9 +174,16 @@ class TestRun:
             message = f"direction dimension {len(bad)} differs from problem dimension 2"
             with pytest.raises(DimensionMismatchError, match=message):
                 run(ball_schedule, unit_relax, [4.0, -2.5], perturb=perturb, stop=default_stop)
-        perturb = PerturbationSchedule(directions=(np.array([0.0, 1.0]), np.array([-1.0, 0.0])))
+        directions = (np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
+        perturb = PerturbationSchedule(directions=directions)
         trace = run(ball_schedule, unit_relax, [4.0, -2.5], perturb=perturb, stop=default_stop)
-        assert trace.perturbations.shape == (trace.iterations, 2)
+        # the R^2 directions are added whole, and one norm per step is recorded
+        xs, shifts, _ = hand_loop(ball_schedule, 1.0, [4.0, -2.5], trace.iterations,
+                                  lambda k, _x: perturb.beta_at(k) * directions[k % 2])
+        assert shifts.shape == (trace.iterations, 2)
+        assert trace.iterates.tobytes() == xs.tobytes()
+        assert trace.perturbations.shape == (trace.iterations,)
+        assert trace.perturbations.tobytes() == norm(shifts).tobytes()
 
     def test_direction_norm_bounded(self):
         with pytest.raises(ValueError):
@@ -210,7 +227,7 @@ def mixed_schedule(dim: int = 5) -> ControlSchedule:
 
 
 def hand_loop(schedule, lam, x0, iterations, shift_at=None):
-    """``gdsa_step`` applied step by step: iterates, shifts and step norms."""
+    """``gdsa_step`` applied step by step: iterates, shift vectors and step norms."""
     x = np.array(x0, dtype=float)
     xs, shifts, steps = [x], [], []
     for k in range(iterations):
@@ -249,7 +266,7 @@ class TestRunLoopEqualsGdsaStep:
         assert np.all(trace.lambdas == lam)
         assert trace.plan_signatures == tuple(schedule.plan_at(k).signature() for k in range(trace.iterations))
         if perturbed:
-            assert trace.perturbations.tobytes() == shifts.tobytes()
+            assert trace.perturbations.tobytes() == norm(shifts).tobytes()
         else:
             assert trace.perturbations is None
 
@@ -269,7 +286,7 @@ class TestRunLoopEqualsGdsaStep:
 
         xs, shifts, steps = hand_loop(schedule, lam, self.X0, trace.iterations, shift_at)
         assert trace.iterates.tobytes() == xs.tobytes()
-        assert trace.perturbations.tobytes() == shifts.tobytes()
+        assert trace.perturbations.tobytes() == norm(shifts).tobytes()
         assert trace.step_norms.tobytes() == steps.tobytes()
 
     @pytest.mark.parametrize("nan_above", [np.inf, 1e3], ids=["overflow", "nan"])
@@ -299,6 +316,59 @@ class TestRunLoopEqualsGdsaStep:
             with pytest.raises(NonFiniteIterateError) as err:
                 run(sched, relax, [5.0], stop=StopRule(step_tol=1e-8, window=10, max_iters=5000))
         assert expected is not None and err.value.step == expected
+
+
+class TestTraceMemory:
+    """A run records one row per iterate and one shift norm per step.
+
+    The iterate record doubles when full: a doubling from c rows holds the c
+    old rows and the 2c new ones at once, so just past it the peak is about
+    3 bytes per final iterate byte, and just before the next one 1.5.  The
+    old per-step lists and their stacked copies peaked at 4.08.
+    """
+
+    N, M = 500, 20
+    C = 4 * _RECORD_ROWS0  # a capacity the record reaches by doubling
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(0)
+        sets = tuple(HalfspaceProjection(rng.standard_normal(self.N), 0.1) for _ in range(self.M))
+        schedule = ControlSchedule(operators=sets, cycle=(simultaneous_plan(self.M),))
+        relax = RelaxationSchedule(epsilon=0.05, constant=1.0)
+        perturb = PerturbationSchedule(beta0=0.5, decay=0.9, seed=1)
+        x0 = 5.0 * rng.standard_normal(self.N)
+        # a first run builds the schedule's cached operators outside the measurement
+        run(schedule, relax, x0, perturb=perturb, stop=StopRule(step_tol=1e300, window=1, max_iters=2))
+        return schedule, relax, perturb, x0
+
+    @pytest.mark.parametrize(
+        "steps, bound",
+        [(C - 1, 1.6), (C, 3.1), (C + C // 2, 2.1), (2 * C - 1, 1.6), (2 * C, 3.1)],
+        ids=["full", "just-past-doubling", "half-full", "full-again", "just-past-next-doubling"],
+    )
+    def test_peak_over_final_iterate_bytes(self, problem, steps, bound):
+        schedule, relax, perturb, x0 = problem
+        # every step is quiet under this tolerance, so the run stops after `window` steps
+        stop = StopRule(step_tol=1e300, window=steps, max_iters=1_000_000)
+        tracemalloc.start()
+        try:
+            trace = run(schedule, relax, x0, perturb=perturb, stop=stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations == steps
+        assert trace.iterates.shape == (steps + 1, self.N)
+        assert trace.perturbations.nbytes == 8 * trace.iterations
+        assert peak / trace.iterates.nbytes <= bound
+
+    def test_record_capacity_stops_at_max_iters(self, problem):
+        schedule, relax, perturb, x0 = problem
+        stop = StopRule(step_tol=1e300, window=10**6, max_iters=_RECORD_ROWS0 + 6)
+        trace = run(schedule, relax, x0, perturb=perturb, stop=stop)
+        assert trace.iterations == stop.max_iters
+        # the doubling is capped: the record underneath holds exactly max_iters + 1 rows
+        assert trace.iterates.base.shape == (stop.max_iters + 1, self.N)
 
 
 class TestFejerMonitor:

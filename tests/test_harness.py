@@ -517,12 +517,12 @@ def reference_trace_csv(trace, fejer_slack_min=None) -> bytes:
     for k in range(n + 1):
         row = [str(k)] + [fmt(v) for v in trace.iterates[k]]
         if k < n:
-            p = trace.perturbations[k] if trace.perturbations is not None else np.zeros(dim)
+            p = trace.perturbations[k] if trace.perturbations is not None else 0.0
             row += [
                 fmt(trace.step_norms[k]),
                 fmt(trace.lambdas[k]),
                 signature_str(trace.plan_signatures[k]),
-                fmt(np.sqrt(np.sum(p * p))),
+                fmt(p),
                 fmt(fejer_slack_min[k]) if fejer_slack_min is not None else "",
             ]
         else:
@@ -584,8 +584,8 @@ def synthetic_trace(rows: int, kind: str, dim: int = 4) -> IterationTrace:
         step_norms=np.abs(mixed_values(rng, n)),
         lambdas=rng.uniform(0.05, 1.95, n),
         plan_signatures=tuple(plans[k % 2] for k in range(n)),
-        # built as the engine builds it: zero steps give shape (0,)
-        perturbations=None if kind == "plain" else np.asarray(list(mixed_values(rng, n, dim)), dtype=float),
+        # the norms of n random shift vectors; zero steps give shape (0,)
+        perturbations=None if kind == "plain" else norm(mixed_values(rng, n, dim)),
         converged=False,
         phi_values=np.abs(mixed_values(rng, rows)) if superiorized else None,
         perturb_budget_remaining=np.abs(mixed_values(rng, n)) if superiorized else None,
@@ -678,7 +678,7 @@ class TestTraceCsvBytes:
     def test_unperturbed_trace_writes_zero_shift_norms(self, tmp_path, dim):
         trace = mixed_trace("plain", dim)
         assert trace.perturbations is None
-        zeros = replace(trace, perturbations=np.zeros((trace.iterations, dim)))
+        zeros = replace(trace, perturbations=np.zeros(trace.iterations))
         write_trace_csv(trace, tmp_path / "none.csv")
         write_trace_csv(zeros, tmp_path / "zeros.csv")
         assert (tmp_path / "none.csv").read_bytes() == (tmp_path / "zeros.csv").read_bytes()

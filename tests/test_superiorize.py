@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import segment_problem, simultaneous_schedule
+from gdsa import engine
 from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances
 from gdsa.engine import IterationTrace, RelaxationSchedule, StopRule, run
 from gdsa.harness import _parse_objective, constrained_min_oracle, GridSpec
@@ -133,6 +134,18 @@ class TestDirections:
             perturbation_directions(np.array([1.0]), InfiniteSlope(), [0.1])
         assert issubclass(NonFiniteObjectiveError, ValueError)
 
+    @pytest.mark.parametrize(
+        "phi",
+        [WeightedSquaredNorm(np.array([5.0])), MaxOfAffine(((np.ones(3), 0.0),))],
+        ids=["wsqnorm_r1", "max_affine_r3"],
+    )
+    def test_an_objective_of_another_dimension_is_refused(self, phi):
+        # unchecked, the R^1 center broadcasts to a direction in R^2, and the
+        # R^3 pieces fail inside numpy with its own ValueError
+        message = f"objective dimension {phi.dim} differs from problem dimension 2"
+        with pytest.raises(DimensionMismatchError, match=message):
+            perturbation_directions(np.array([3.0, 4.0]), phi, [0.5])
+
 
 class TestSchedule:
     def test_zero_beta0_rejected(self):
@@ -166,13 +179,19 @@ class TestSuperiorizedRun:
         zmin = constrained_min_oracle(two_interval, (0.5, 0.5), phi, GridSpec(-5, 5, 21))
         assert abs(trace.final[0] - zmin[0]) <= 1e-6  # alternative (i)
 
-    def test_an_objective_of_another_dimension_is_refused(self, ball_schedule, unit_relax, default_stop):
+    def test_an_objective_of_another_dimension_is_refused(
+        self, ball_schedule, unit_relax, default_stop, monkeypatch
+    ):
         # unchecked, center [5.0] would broadcast to (5, 5) and steer an R^2 run there
         sup = SuperiorizationSchedule(beta0=0.5, decay=0.9)
+        steps = []
+        relaxed = engine._relaxed
+        monkeypatch.setattr(engine, "_relaxed", lambda *args: steps.append(1) or relaxed(*args))
         for phi in (WeightedSquaredNorm(np.array([5.0])), MaxOfAffine(((np.ones(3), 0.0),))):
             message = f"objective dimension {phi.dim} differs from problem dimension 2"
             with pytest.raises(DimensionMismatchError, match=message):
                 superiorized_run(ball_schedule, unit_relax, phi, sup, [3.0, 4.0], stop=default_stop)
+        assert steps == []  # refused before the first step
         phi = WeightedSquaredNorm(np.array([5.0, 5.0]))
         assert superiorized_run(ball_schedule, unit_relax, phi, sup, [3.0, 4.0], stop=default_stop).converged
 
@@ -203,7 +222,7 @@ class TestSuperiorizedRun:
         sup = SuperiorizationSchedule(beta0=0.5, decay=0.9, steps=3)
         trace = superiorized_run(interval_schedule, unit_relax, phi, sup, [7.3], stop=default_stop)
         for k in range(trace.iterations):
-            shift = float(np.linalg.norm(trace.perturbations[k]))
+            shift = trace.perturbations[k]
             assert shift <= float(np.sum(sup.betas_at(k))) + DEFAULT_TOLERANCES.eq_tol
 
     def test_two_ball_l1_limit_in_target_set(self, two_ball, ball_schedule, unit_relax):
@@ -256,7 +275,7 @@ class TestStrictFejer:
             step_norms=np.array([0.5, 0.0]),
             lambdas=np.array([1.0, 1.0]),
             plan_signatures=(((1,),),) * 2,
-            perturbations=np.zeros((2, 2)),
+            perturbations=np.zeros(2),
             converged=False,
         )
         report = strict_fejer_monitor(trace, np.array([-1.0, 0.0]), k0=0)
@@ -268,7 +287,7 @@ class TestStrictFejer:
             step_norms=np.array([0.5]),
             lambdas=np.array([1.0]),
             plan_signatures=(((1,),),),
-            perturbations=np.zeros((1, 1)),
+            perturbations=np.zeros(1),
             converged=False,
         )
         with pytest.raises(ValueError):

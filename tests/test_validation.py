@@ -89,6 +89,15 @@ CASES = {
     "IterationTrace length mismatch": (
         lambda: IterationTrace(np.zeros((3, 1)), np.zeros(1), np.ones(1), ((),), None, False),
         ValueError, "iterations \\+ 1 iterates"),
+    "IterationTrace shift vectors": (
+        lambda: IterationTrace(np.zeros((3, 2)), np.zeros(2), np.ones(2), ((),) * 2, np.zeros((2, 2)), False),
+        ValueError, "one shift norm per step, shape \\(2,\\)"),
+    "IterationTrace negative shift norm": (
+        lambda: IterationTrace(np.zeros((3, 1)), np.zeros(2), np.ones(2), ((),) * 2, np.array([0.5, -0.1]), False),
+        ValueError, "perturbation norms must be finite and nonnegative"),
+    "IterationTrace non-finite shift norm": (
+        lambda: IterationTrace(np.zeros((3, 1)), np.zeros(2), np.ones(2), ((),) * 2, np.array([0.5, np.nan]), False),
+        ValueError, "perturbation norms must be finite and nonnegative"),
     "ProblemInstance without sets": (
         lambda: ProblemInstance(dim=1, projectors=()), ValueError, "at least one set"),
     "GridSpec low < high": (lambda: GridSpec(low=1.0, high=1.0), ValueError, "grid requires low < high"),
