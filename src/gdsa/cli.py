@@ -82,7 +82,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _execute(config: ExperimentConfig):
-    if config.objective is not None and config.sup is not None:
+    if config.sup is not None:
         return superiorized_run(
             config.schedule,
             config.relax,

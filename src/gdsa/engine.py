@@ -182,7 +182,9 @@ class IterationTrace:
     ||shift_k|| of the aggregate shift added before the operator was applied:
     a finite, nonnegative array of shape (iterations,), or None when
     unperturbed.  Superiorized runs additionally fill ``phi_values`` (one per
-    iterate) and ``perturb_budget_remaining`` (one per step).
+    iterate) and ``perturb_budget_remaining`` (one per step); the two are set
+    together or not at all.  A trace of any other shape is refused here, so
+    every reader may rely on these lengths.
     """
 
     iterates: np.ndarray
@@ -197,13 +199,19 @@ class IterationTrace:
     def __post_init__(self) -> None:
         if len(self.iterates) != len(self.step_norms) + 1:
             raise ValueError("trace must hold iterations + 1 iterates")
+        n = self.iterations
+        if len(self.lambdas) != n or len(self.plan_signatures) != n:
+            raise ValueError(f"trace must hold one lambda and one plan signature per step, {n} each")
+        if (self.phi_values is None) != (self.perturb_budget_remaining is None):
+            raise ValueError("phi_values and perturb_budget_remaining are set together or not at all")
+        if self.phi_values is not None and (
+            len(self.phi_values) != n + 1 or len(self.perturb_budget_remaining) != n
+        ):
+            raise ValueError(f"a superiorized trace holds {n + 1} phi values and {n} budget values")
         if self.perturbations is not None:
             p = np.asarray(self.perturbations, dtype=float)
-            if p.shape != (self.iterations,):
-                raise ValueError(
-                    f"perturbations must hold one shift norm per step, shape ({self.iterations},), "
-                    f"got shape {p.shape}"
-                )
+            if p.shape != (n,):
+                raise ValueError(f"perturbations must hold one shift norm per step, shape ({n},), got shape {p.shape}")
             if not np.all(np.isfinite(p) & (p >= 0.0)):
                 raise ValueError("perturbation norms must be finite and nonnegative")
             self.perturbations = p

@@ -267,7 +267,11 @@ def certified_c_witness(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs, parsed from a single JSON document."""
+    """Everything one run needs, parsed from a single JSON document.
+
+    At most one of ``perturb`` and ``sup`` is set, and ``objective`` exactly
+    when ``sup`` is: ``sup`` makes the run superiorized, ``perturb`` perturbed.
+    """
 
     problem: ProblemInstance
     schedule: ControlSchedule
@@ -284,6 +288,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.perturb is not None and self.sup is not None:
+            raise ConfigError("choose either 'perturbation' or 'superiorization', not both")
+        if (self.objective is None) != (self.sup is None):
+            raise ConfigError("'objective' and 'sup' are set together or not at all")
 
     @property
     def hash(self) -> str:
@@ -452,8 +460,6 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
             if objective.dim is not None:
                 _check_dim("objective", objective.dim, problem.dim)
             sup = SuperiorizationSchedule(**_fields(s, beta0=_as_float, decay=_as_float, steps=_as_int))
-        if perturb is not None and sup is not None:
-            raise ConfigError("choose either 'perturbation' or 'superiorization', not both")
         x0 = as_vector(_as_floats(doc["x0"]), dim=problem.dim)
         return ExperimentConfig(
             problem=problem,
@@ -504,6 +510,8 @@ def write_trace_csv(
     """
     dim = trace.iterates.shape[-1]
     n = trace.iterations
+    if fejer_slack_min is not None and len(fejer_slack_min) != n:
+        raise ValueError(f"fejer_slack_min must hold one slack per step, {n}, got {len(fejer_slack_min)}")
     header = ["k"] + [f"x{i}" for i in range(dim)]
     header += ["step_norm", "lambda", "plan_signature", "perturb_norm", "fejer_slack_min"]
     superiorized = trace.phi_values is not None
@@ -522,10 +530,6 @@ def write_trace_csv(
     label_of = np.array([plans[sig] for sig in trace.plan_signatures] + [len(labels) - 1], dtype=np.intp)
     ends = np.full(ncols, ord(","), dtype=np.uint8)
     ends[-1] = ord("\n")
-    shift_norms = trace.perturbations
-    per_step = (trace.lambdas, trace.plan_signatures, shift_norms, fejer_slack_min, trace.perturb_budget_remaining)
-    if any(c is not None and len(c) != n for c in per_step) or (superiorized and len(trace.phi_values) != n + 1):
-        raise ValueError(f"trace columns do not all have {n} steps")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for r0 in range(0, n + 1, _TRACE_BLOCK_ROWS):
@@ -537,8 +541,8 @@ def write_trace_csv(
             values[:, 1:dim + 1] = trace.iterates[r0:r0 + rows]
             values[:steps, dim + 1] = trace.step_norms[r0:r0 + steps]
             values[:steps, dim + 2] = trace.lambdas[r0:r0 + steps]
-            if shift_norms is not None:
-                values[:steps, dim + 4] = shift_norms[r0:r0 + steps]
+            if trace.perturbations is not None:
+                values[:steps, dim + 4] = trace.perturbations[r0:r0 + steps]
             if fejer_slack_min is not None:
                 values[:steps, dim + 5] = fejer_slack_min[r0:r0 + steps]
             if superiorized:

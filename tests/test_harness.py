@@ -631,13 +631,18 @@ class TestTraceCsvBytes:
         write_trace_csv(trace, path, fejer_slack_min=slacks)
         assert path.read_bytes() == reference_trace_csv(trace, slacks)
 
-    @pytest.mark.parametrize("column", ["lambdas", "phi_values", "fejer"])
+    @pytest.mark.parametrize(
+        "column", ["lambdas", "plan_signatures", "phi_values", "perturb_budget_remaining", "phi_alone", "fejer"]
+    )
     def test_a_column_of_another_length_is_refused(self, tmp_path, column):
+        # the trace refuses its own columns as it is built, the writer its slack argument
         trace = synthetic_trace(10, "superiorized")
         slacks = np.zeros(trace.iterations + (column == "fejer"))
-        if column != "fejer":
-            trace = replace(trace, **{column: getattr(trace, column)[:-1]})
         with pytest.raises(ValueError):
+            if column == "phi_alone":  # phi values without the budget column
+                trace = replace(trace, perturb_budget_remaining=None)
+            elif column != "fejer":
+                trace = replace(trace, **{column: getattr(trace, column)[:-1]})
             write_trace_csv(trace, tmp_path / "trace.csv", fejer_slack_min=slacks)
         assert not (tmp_path / "trace.csv").exists()
 

@@ -8,11 +8,13 @@ so the case fails.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gdsa.core import DimensionMismatchError, SampleSpec, as_vector
-from gdsa.engine import IterationTrace, PerturbationSchedule, RelaxationRangeError, RelaxationSchedule
+from gdsa.engine import IterationTrace, PerturbationSchedule, RelaxationRangeError, RelaxationSchedule, StopRule
 from gdsa.harness import (
     ConfigError,
     GridSpec,
@@ -66,6 +68,10 @@ def trace(steps: int) -> IterationTrace:
     )
 
 
+def superiorized_config():
+    return parse_config(config(superiorization={"objective": {"kind": "l1"}}))
+
+
 class _Unknown(Operator):
     dim = 1
 
@@ -78,6 +84,8 @@ CASES = {
     "SampleSpec low < high": (lambda: SampleSpec(dim=1, low=1.0, high=1.0), ValueError, "low < high"),
     "RelaxationSchedule epsilon": (
         lambda: RelaxationSchedule(epsilon=0.0, constant=1.0), ValueError, "epsilon must lie"),
+    "RelaxationSchedule without a kind": (
+        lambda: RelaxationSchedule(), ValueError, "specify exactly one of constant, cycle, or base\\(\\+slope\\)"),
     "RelaxationSchedule empty cycle": (
         lambda: RelaxationSchedule(cycle=()), ValueError, "cyclic relaxation schedule must be nonempty"),
     "RelaxationSchedule.validate empty range": (
@@ -89,6 +97,19 @@ CASES = {
     "IterationTrace length mismatch": (
         lambda: IterationTrace(np.zeros((3, 1)), np.zeros(1), np.ones(1), ((),), None, False),
         ValueError, "iterations \\+ 1 iterates"),
+    "IterationTrace lambdas per step": (
+        lambda: IterationTrace(np.zeros((3, 1)), np.zeros(2), np.ones(1), ((),) * 2, None, False),
+        ValueError, "one lambda and one plan signature per step, 2 each"),
+    "IterationTrace plan signatures per step": (
+        lambda: IterationTrace(np.zeros((3, 1)), np.zeros(2), np.ones(2), ((),), None, False),
+        ValueError, "one lambda and one plan signature per step, 2 each"),
+    "IterationTrace phi values without budget": (
+        lambda: IterationTrace(np.zeros((3, 1)), np.zeros(2), np.ones(2), ((),) * 2, None, False, np.zeros(3)),
+        ValueError, "phi_values and perturb_budget_remaining are set together or not at all"),
+    "IterationTrace phi values per iterate": (
+        lambda: IterationTrace(
+            np.zeros((3, 1)), np.zeros(2), np.ones(2), ((),) * 2, None, False, np.zeros(2), np.zeros(2)),
+        ValueError, "a superiorized trace holds 3 phi values and 2 budget values"),
     "IterationTrace shift vectors": (
         lambda: IterationTrace(np.zeros((3, 2)), np.zeros(2), np.ones(2), ((),) * 2, np.zeros((2, 2)), False),
         ValueError, "one shift norm per step, shape \\(2,\\)"),
@@ -98,6 +119,7 @@ CASES = {
     "IterationTrace non-finite shift norm": (
         lambda: IterationTrace(np.zeros((3, 1)), np.zeros(2), np.ones(2), ((),) * 2, np.array([0.5, np.nan]), False),
         ValueError, "perturbation norms must be finite and nonnegative"),
+    "StopRule window": (lambda: StopRule(window=0), ValueError, "invalid stopping rule parameters"),
     "ProblemInstance without sets": (
         lambda: ProblemInstance(dim=1, projectors=()), ValueError, "at least one set"),
     "GridSpec low < high": (lambda: GridSpec(low=1.0, high=1.0), ValueError, "grid requires low < high"),
@@ -107,6 +129,22 @@ CASES = {
             ProblemInstance(dim=4, projectors=(BoxProjection(np.zeros(4), np.ones(4)),)),
             (1.0,), L1Norm(), GridSpec(points=2)),
         ValueError, "oracle restricted to dimension <= 3"),
+    "config without x0 key": (
+        lambda: parse_config({k: v for k, v in config().items() if k != "x0"}),
+        ConfigError, "config is missing 'x0'"),
+    "superiorization without objective key": (
+        lambda: parse_config(config(superiorization={"steps": 1})),
+        ConfigError, "superiorization needs an 'objective'"),
+    "perturbation and superiorization blocks": (
+        lambda: parse_config(config(perturbation={}, superiorization={"objective": {"kind": "l1"}})),
+        ConfigError, "choose either 'perturbation' or 'superiorization', not both"),
+    "ExperimentConfig perturb and sup": (
+        lambda: replace(superiorized_config(), perturb=PerturbationSchedule()),
+        ConfigError, "choose either 'perturbation' or 'superiorization', not both"),
+    "ExperimentConfig objective without sup": (
+        lambda: replace(superiorized_config(), sup=None), ConfigError, "'objective' and 'sup' are set together"),
+    "ExperimentConfig sup without objective": (
+        lambda: replace(superiorized_config(), objective=None), ConfigError, "'objective' and 'sup' are set together"),
     "problem without sets key": (
         lambda: parse_config(config(problem={"dim": 1})), ConfigError, "problem needs 'dim' and 'sets'"),
     "schedule without cycle key": (
@@ -123,6 +161,8 @@ CASES = {
         lambda: propagate_alpha(_Unknown()), AlphaUnknownError, "alpha unknown for node type _Unknown"),
     "FixedPointWitness non-finite": (
         lambda: FixedPointWitness([[np.nan]]), ValueError, "witness points must be finite"),
+    "operator_from_json unknown kind": (
+        lambda: operator_from_json({"kind": "ellipsoid"}), ValueError, "unknown operator kind 'ellipsoid'"),
     "operator_from_json non-object": (
         lambda: operator_from_json([1.0]), ValueError, "operator document must be an object"),
     "_parse_objective non-object": (
@@ -135,6 +175,9 @@ CASES = {
         ValueError, "at least one base operator"),
     "ControlSchedule empty cycle": (
         lambda: ControlSchedule(operators=(UNIT_BOX,), cycle=()), ValueError, "cycle must be nonempty"),
+    "ControlSchedule plan past m": (
+        lambda: ControlSchedule(operators=(UNIT_BOX,), cycle=(StringPlan(((1, 2),), (1.0,)),)),
+        ValueError, "plan references operator 2 but m=1"),
     "plan_at(-1)": (
         lambda: ControlSchedule(operators=(UNIT_BOX,), cycle=(simultaneous_plan(1),)).plan_at(-1),
         IndexError, "schedule index must be >= 0"),
