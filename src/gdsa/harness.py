@@ -269,8 +269,11 @@ def certified_c_witness(
 class ExperimentConfig:
     """Everything one run needs, parsed from a single JSON document.
 
-    At most one of ``perturb`` and ``sup`` is set, and ``objective`` exactly
-    when ``sup`` is: ``sup`` makes the run superiorized, ``perturb`` perturbed.
+    The schedule operators, fixed perturbation directions, objective and x0
+    live in the problem's dimension, and every declared alpha of a set or
+    schedule operator lies in (0, 2].  At most one of ``perturb`` and ``sup``
+    is set, and ``objective`` exactly when ``sup`` is: ``sup`` makes the run
+    superiorized, ``perturb`` perturbed.
     """
 
     problem: ProblemInstance
@@ -286,6 +289,15 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        dim = self.problem.dim
+        _check_dim("schedule operator", self.schedule.dim, dim)
+        for op in self.problem.projectors + self.schedule.operators:
+            propagate_alpha(op)  # checks each declared alpha, whether or not a run reaches it
+        if self.perturb is not None:
+            self.perturb.direction_stream(dim)  # refuses a direction of another dimension
+        if self.objective is not None and self.objective.dim is not None:
+            _check_dim("objective", self.objective.dim, dim)
+        object.__setattr__(self, "x0", as_vector(self.x0, dim=dim))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.perturb is not None and self.sup is not None:
@@ -306,7 +318,7 @@ class ExperimentConfig:
         plan = self.schedule.cycle[0]
         m = self.problem.m
         if len(self.schedule.cycle) == 1 and plan.q == 1 and is_fit(plan, m):
-            by_index = {s.indices[0]: w for s, w in zip(plan.strings, plan.weights)}
+            by_index = {s[0]: w for s, w in zip(plan.strings, plan.weights)}
             return tuple(by_index[i] for i in range(1, m + 1))
         return self.problem.equal_weights()
 
@@ -401,9 +413,7 @@ def _parse_schedule(doc: dict, problem: ProblemInstance) -> ControlSchedule:
         operators = problem.projectors
     cycle = tuple(_parse_plan(p) for p in doc["cycle"])
     preamble = tuple(_parse_plan(p) for p in doc.get("preamble", []))
-    schedule = ControlSchedule(operators=operators, cycle=cycle, preamble=preamble)
-    _check_dim("schedule operator", schedule.dim, problem.dim)
-    return schedule
+    return ControlSchedule(operators=operators, cycle=cycle, preamble=preamble)
 
 
 def _fields(doc: dict, **casts) -> dict:
@@ -435,8 +445,6 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
                 raise ConfigError(f"config is missing {key!r}")
         problem = _parse_problem(doc["problem"])
         schedule = _parse_schedule(doc["schedule"], problem)
-        for op in problem.projectors + schedule.operators:
-            propagate_alpha(op)  # checks each declared alpha, whether or not a run reaches it
         relax = _parse_relaxation(doc["relaxation"])
         tol_casts = dict.fromkeys(("eq_tol", "conv_tol", "slack_tol", "subgrad_zero_tol"), _as_float)
         tolerances = Tolerances(**_fields(doc.get("tolerances", {}), **tol_casts))
@@ -449,7 +457,6 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
             perturb = PerturbationSchedule(
                 **_fields(p, beta0=_as_float, decay=_as_float, seed=_as_int, directions=_as_floats)
             )
-            perturb.direction_stream(problem.dim)  # refuses a direction of another dimension
         objective = None
         sup = None
         if "superiorization" in doc:
@@ -457,15 +464,12 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
             if "objective" not in s:
                 raise ConfigError("superiorization needs an 'objective'")
             objective = _parse_objective(s["objective"])
-            if objective.dim is not None:
-                _check_dim("objective", objective.dim, problem.dim)
             sup = SuperiorizationSchedule(**_fields(s, beta0=_as_float, decay=_as_float, steps=_as_int))
-        x0 = as_vector(_as_floats(doc["x0"]), dim=problem.dim)
         return ExperimentConfig(
             problem=problem,
             schedule=schedule,
             relax=relax,
-            x0=x0,
+            x0=_as_floats(doc["x0"]),
             seed=seed,
             stop=stop,
             tolerances=tolerances,

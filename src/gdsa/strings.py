@@ -23,7 +23,6 @@ from .operators import (
 )
 
 __all__ = [
-    "IndexString",
     "StringPlan",
     "ControlSchedule",
     "AdmissibilityReport",
@@ -39,57 +38,43 @@ __all__ = [
 PlanSignature = tuple  # nested tuples of ((indices...), weight) pairs
 
 
-@dataclass(frozen=True)
-class IndexString:
-    """Ordered list of 1-based operator indices; a map {1..q} -> {1..m}."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = tuple(_as_int(i) for i in self.indices)
-        if not idx:
-            raise ValueError("a string must have length >= 1")
-        if any(i < 1 for i in idx):
-            raise ValueError("string indices are 1-based and must be >= 1")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def max_index(self) -> int:
-        return max(self.indices)
+def _index_string(indices) -> tuple[int, ...]:
+    """A string ``t = (t1, ..., tq)`` as a tuple of 1-based operator indices."""
+    t = tuple(_as_int(i) for i in indices)
+    if not t:
+        raise ValueError("a string must have length >= 1")
+    if min(t) < 1:
+        raise ValueError("string indices are 1-based and must be >= 1")
+    return t
 
 
 @dataclass(frozen=True)
 class StringPlan:
-    """A weighted finite set of strings; weights are positive and sum to one."""
+    """A weighted finite set of strings, each a tuple of 1-based operator
+    indices; weights are positive and sum to one."""
 
-    strings: tuple[IndexString, ...]
+    strings: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
     _signature: PlanSignature = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        strings = tuple(
-            s if isinstance(s, IndexString) else IndexString(tuple(s)) for s in self.strings
-        )
+        strings = tuple(map(_index_string, self.strings))
         if not strings:
             raise ValueError("a plan needs at least one string")
-        if len(set(s.indices for s in strings)) != len(strings):
+        if len(set(strings)) != len(strings):
             raise ValueError("duplicate strings in plan")
         weights = check_weights(self.weights, len(strings), "plan weights")
         object.__setattr__(self, "strings", strings)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(
-            self, "_signature", tuple(sorted((s.indices, w) for s, w in zip(strings, weights)))
-        )
+        object.__setattr__(self, "_signature", tuple(sorted(zip(strings, weights))))
 
     @property
     def q(self) -> int:
         """Length bound of this plan (longest string)."""
-        return max(len(s) for s in self.strings)
+        return max(map(len, self.strings))
 
     def max_index(self) -> int:
-        return max(s.max_index() for s in self.strings)
+        return max(map(max, self.strings))
 
     def signature(self) -> PlanSignature:
         """Order-independent structural identity: sorted (indices, weight) pairs.
@@ -105,14 +90,16 @@ def signature_str(sig: PlanSignature) -> str:
     return "|".join("-".join(map(str, idx)) + ":" + format(w, ".17g") for idx, w in sig)
 
 
-def string_operator(operators: tuple[Operator, ...], t: IndexString) -> Operator:
+def string_operator(operators: tuple[Operator, ...], t) -> Operator:
     """The string operator ``V[t] = U_tq o ... o U_t1`` (first index applied first).
 
-    A length-1 string yields the base operator itself.
+    ``t`` is a sequence of 1-based indices.  A length-1 string yields the
+    base operator itself.
     """
-    if t.max_index() > len(operators):
-        raise IndexError(f"string index {t.max_index()} out of range for m={len(operators)}")
-    chain = tuple(operators[i - 1] for i in t.indices)
+    t = _index_string(t)
+    if max(t) > len(operators):
+        raise IndexError(f"string index {max(t)} out of range for m={len(operators)}")
+    chain = tuple(operators[i - 1] for i in t)
     return chain[0] if len(chain) == 1 else Composition(chain)
 
 
@@ -215,10 +202,7 @@ def rho_constant(schedule: ControlSchedule) -> float:
 
 def is_fit(plan: StringPlan, m: int) -> bool:
     """True iff the plan's strings jointly cover every index 1..m."""
-    covered: set[int] = set()
-    for s in plan.strings:
-        covered.update(s.indices)
-    return covered == set(range(1, m + 1))
+    return set().union(*plan.strings) == set(range(1, m + 1))
 
 
 @dataclass(frozen=True)
@@ -283,5 +267,5 @@ def simultaneous_plan(m: int, weights=None) -> StringPlan:
     """The fully simultaneous plan: one length-1 string per base operator."""
     if weights is None:
         weights = (1.0 / m,) * m
-    return StringPlan(tuple(IndexString((i,)) for i in range(1, m + 1)), tuple(weights))
+    return StringPlan(tuple((i,) for i in range(1, m + 1)), tuple(weights))
 

@@ -41,7 +41,6 @@ from gdsa.operators import (
 )
 from gdsa.strings import (
     ControlSchedule,
-    IndexString,
     StringPlan,
     check_admissibility,
     rho_constant,
@@ -200,8 +199,8 @@ def test_criterion_5_perturbation_resilience():
 
 def test_criterion_6_admissibility_checker():
     p1, p2 = two_interval_problem().projectors
-    plan_a = StringPlan((IndexString((1,)), IndexString((2,))), (0.5, 0.5))
-    plan_b = StringPlan((IndexString((1, 2)),), (1.0,))
+    plan_a = StringPlan(((1,), (2,)), (0.5, 0.5))
+    plan_b = StringPlan(((1, 2),), (1.0,))
 
     periodic = ControlSchedule(operators=(p1, p2), cycle=(plan_a, plan_b))
     report = check_admissibility(periodic)

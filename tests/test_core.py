@@ -16,7 +16,7 @@ from gdsa.core import (
 )
 from gdsa.harness import proximity_value
 from gdsa.operators import ConvexCombination, Identity
-from gdsa.strings import IndexString, StringPlan
+from gdsa.strings import StringPlan
 
 
 def test_norm_pythagorean():
@@ -60,7 +60,7 @@ def test_check_weights_rejects_nonfinite(weights):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda w: StringPlan((IndexString((1,)), IndexString((2,))), w),
+        lambda w: StringPlan(((1,), (2,)), w),
         lambda w: ConvexCombination(tuple(zip(w, (Identity(1), Identity(1))))),
         lambda w: proximity_value(two_interval_problem(), w, [0.0]),
     ],

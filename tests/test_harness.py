@@ -303,8 +303,8 @@ class TestConfig:
         plan = config.schedule.cycle[0]
         old = config.problem.equal_weights()
         if len(cycle) == 1 and all(len(s) == 1 for s in plan.strings):
-            if sorted(s.indices[0] for s in plan.strings) == [1, 2, 3]:
-                by_index = {s.indices[0]: w for s, w in zip(plan.strings, plan.weights)}
+            if sorted(s[0] for s in plan.strings) == [1, 2, 3]:
+                by_index = {s[0]: w for s, w in zip(plan.strings, plan.weights)}
                 old = tuple(by_index[i] for i in (1, 2, 3))
         assert config.plan_weights() == old == expected
 
@@ -1087,7 +1087,7 @@ class TestCli:
         doc["schedule"]["cycle"][0]["strings"] = [[1.0], [2.0]]
         doc.update(seed=3.0, stop={"window": 2.0, "max_iters": 100000.0})
         config = parse_config(doc)
-        assert config.schedule.cycle[0].strings[1].indices == (2,)
+        assert config.schedule.cycle[0].strings[1] == (2,)
         assert (config.seed, config.stop.window, config.stop.max_iters) == (3, 2, 100000)
         assert type(config.stop.max_iters) is int
 

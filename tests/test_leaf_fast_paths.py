@@ -166,7 +166,7 @@ def test_strings_run_matches_old_row_loop():
         tx = None
         for string, w in zip(plan.strings, plan.weights):
             y = x
-            for i in string.indices:
+            for i in string:
                 y = old_halfspace(leaves[i - 1], y)
             # a one-string plan is its string operator, unweighted
             tx = y if len(plan.strings) == 1 else (w * y if tx is None else tx + w * y)

@@ -18,7 +18,6 @@ from gdsa.operators import (
 )
 from gdsa.strings import (
     ControlSchedule,
-    IndexString,
     StringPlan,
     averaged_operator,
     check_admissibility,
@@ -34,7 +33,6 @@ P_B = BoxProjection(np.array([1.0]), np.array([3.0]))
 
 
 def plan_of(*strings, weights=None) -> StringPlan:
-    strings = tuple(IndexString(s) for s in strings)
     if weights is None:
         weights = (1.0 / len(strings),) * len(strings)
     return StringPlan(strings, tuple(weights))
@@ -42,12 +40,12 @@ def plan_of(*strings, weights=None) -> StringPlan:
 
 class TestPlanValidation:
     def test_empty_string_rejected(self):
-        with pytest.raises(ValueError):
-            IndexString(())
+        with pytest.raises(ValueError, match="a string must have length >= 1"):
+            plan_of(())
 
     def test_zero_index_rejected(self):
-        with pytest.raises(ValueError):
-            IndexString((0, 1))
+        with pytest.raises(ValueError, match="string indices are 1-based and must be >= 1"):
+            plan_of((0, 1))
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -90,16 +88,16 @@ class TestPlanValidation:
 
 class TestStringOperator:
     def test_length_one_string_is_base_operator(self):
-        assert string_operator((P_A, P_B), IndexString((1,))) is P_A
+        assert string_operator((P_A, P_B), (1,)) is P_A
 
     def test_application_order_first_index_innermost(self):
-        op = string_operator((P_A, P_B), IndexString((1, 2)))
+        op = string_operator((P_A, P_B), (1, 2))
         xs = SampleSpec(dim=1, count=50, seed=0).points()
         expected = apply(P_B, apply(P_A, xs))
         assert np.array_equal(apply(op, xs), expected)
 
     def test_repeated_projection_is_idempotent(self):
-        op = string_operator((P_A, P_B), IndexString((1, 1)))
+        op = string_operator((P_A, P_B), (1, 1))
         xs = SampleSpec(dim=1, count=100, seed=1).points()
         assert np.allclose(apply(op, xs), apply(P_A, xs), atol=DEFAULT_TOLERANCES.eq_tol)
         # idempotence of the projection itself backs this up
@@ -107,7 +105,7 @@ class TestStringOperator:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            string_operator((P_A, P_B), IndexString((3,)))
+            string_operator((P_A, P_B), (3,))
 
 
 class TestAveragedOperator:

@@ -35,15 +35,17 @@ from gdsa.operators import (
     Operator,
     propagate_alpha,
 )
-from gdsa.strings import ControlSchedule, StringPlan, simultaneous_plan
+from gdsa.strings import ControlSchedule, StringPlan, simultaneous_plan, string_operator
 from gdsa.superiorize import (
     L1Norm,
     MaxOfAffine,
     SuperiorizationSchedule,
+    WeightedSquaredNorm,
     strict_fejer_monitor,
 )
 
 UNIT_BOX = BoxProjection([0.0], [1.0])
+UNIT_SQUARE = BoxProjection([0.0, 0.0], [1.0, 1.0])
 
 
 def config(**blocks) -> dict:
@@ -145,6 +147,28 @@ CASES = {
         lambda: replace(superiorized_config(), sup=None), ConfigError, "'objective' and 'sup' are set together"),
     "ExperimentConfig sup without objective": (
         lambda: replace(superiorized_config(), objective=None), ConfigError, "'objective' and 'sup' are set together"),
+    "ExperimentConfig schedule of another dimension": (
+        lambda: replace(
+            parse_config(config()),
+            schedule=ControlSchedule(operators=(UNIT_SQUARE,), cycle=(simultaneous_plan(1),)),
+            x0=[5.0, 5.0],
+        ),
+        DimensionMismatchError, "schedule operator dimension 2 differs from problem dimension 1"),
+    "ExperimentConfig x0 of another length": (
+        lambda: replace(parse_config(config()), x0=[5.0, 5.0]),
+        DimensionMismatchError, "expected dimension 1, got 2"),
+    "ExperimentConfig objective of another dimension": (
+        lambda: replace(superiorized_config(), objective=WeightedSquaredNorm([0.0, 0.0])),
+        DimensionMismatchError, "objective dimension 2 differs from problem dimension 1"),
+    "ExperimentConfig perturbation directions of another dimension": (
+        lambda: replace(parse_config(config()), perturb=PerturbationSchedule(directions=([1.0, 0.0],))),
+        DimensionMismatchError, "perturbation direction dimension 2 differs from problem dimension 1"),
+    "ExperimentConfig declared alpha of a set no plan reaches": (
+        lambda: replace(
+            parse_config(config()),
+            problem=ProblemInstance(dim=1, projectors=(UNIT_BOX, BoxProjection([0.0], [1.0], declared_alpha=2.5))),
+        ),
+        ValueError, "declared_alpha must be in \\(0, 2\\], got 2.5"),
     "problem without sets key": (
         lambda: parse_config(config(problem={"dim": 1})), ConfigError, "problem needs 'dim' and 'sets'"),
     "schedule without cycle key": (
@@ -170,6 +194,10 @@ CASES = {
     "_parse_objective unknown kind": (
         lambda: _parse_objective({"kind": "huber"}), ValueError, "unknown objective kind 'huber'"),
     "empty StringPlan": (lambda: StringPlan((), ()), ValueError, "at least one string"),
+    "string_operator empty string": (
+        lambda: string_operator((UNIT_BOX,), ()), ValueError, "a string must have length >= 1"),
+    "string_operator index below 1": (
+        lambda: string_operator((UNIT_BOX,), (0,)), ValueError, "string indices are 1-based and must be >= 1"),
     "ControlSchedule without operators": (
         lambda: ControlSchedule(operators=(), cycle=(simultaneous_plan(1),)),
         ValueError, "at least one base operator"),
