@@ -18,7 +18,6 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -63,22 +62,23 @@ __all__ = ["main"]
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    """Apply the override flags in ``args``; a subcommand may lack some of them."""
-    cfg = config
+    """Apply the override flags in ``args`` to a copy of the config document and
+    parse it, so that ``config.hash`` identifies the run; a subcommand may lack
+    some of the flags."""
     seed, max_iters, tol = (getattr(args, name, None) for name in ("seed", "max_iters", "tol"))
+    if seed is None and max_iters is None and tol is None:
+        return config
+    doc = copy.deepcopy(config.raw)
     if seed is not None:
-        cfg = replace(cfg, seed=seed)
-        if cfg.perturb is not None:
-            cfg = replace(cfg, perturb=replace(cfg.perturb, seed=seed))
+        doc["seed"] = seed
+        if "seed" in doc.get("perturbation", {}):
+            doc["perturbation"]["seed"] = seed
     if max_iters is not None:
-        cfg = replace(cfg, stop=replace(cfg.stop, max_iters=max_iters))
+        doc.setdefault("stop", {})["max_iters"] = max_iters
     if tol is not None:
-        cfg = replace(
-            cfg,
-            tolerances=replace(cfg.tolerances, conv_tol=tol),
-            stop=replace(cfg.stop, step_tol=tol),
-        )
-    return cfg
+        doc.setdefault("tolerances", {})["conv_tol"] = tol
+        doc.setdefault("stop", {})["step_tol"] = tol
+    return parse_config(doc)
 
 
 def _execute(config: ExperimentConfig):

@@ -135,6 +135,8 @@ class HyperplaneProjection(_AffineProjection):
     """Metric projection onto the hyperplane {u : <a, u> = b}."""
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        if _is_vector(x):  # the stacked formula's arithmetic on Python floats
+            return x - ((float(x @ self.a) - self.b) / self._aa) * self.a
         return x - ((x @ self.a - self.b) / self._aa)[..., None] * self.a
 
 
@@ -187,7 +189,9 @@ class BoxProjection(Operator):
         return self.lo.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
+        # the method np.clip dispatches to, without its wrapper; np.maximum
+        # and np.minimum can differ from it in the sign of a zero at a bound
+        return np.asanyarray(x).clip(self.lo, self.hi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,6 +64,10 @@ class ObjectiveFunction(abc.ABC):
         """Required input dimension, or None when dimension-agnostic."""
         return None
 
+    def _subgradient_norm(self, s: np.ndarray) -> float:
+        """``||s||`` for a selection ``s`` of this objective at a point where it is finite."""
+        return norm(s)
+
 
 @dataclass(frozen=True)
 class WeightedSquaredNorm(ObjectiveFunction):
@@ -102,6 +106,11 @@ class L1Norm(ObjectiveFunction):
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return np.sign(x)
+
+    def _subgradient_norm(self, s: np.ndarray) -> float:
+        # s = sign(x) at a finite x: s * s sums to the number of nonzero
+        # entries exactly, so this equals norm(s) bit for bit
+        return math.sqrt(np.count_nonzero(s))
 
 
 @dataclass(frozen=True)
@@ -159,8 +168,9 @@ class SuperiorizationSchedule:
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
 
-    def betas_at(self, k: int) -> np.ndarray:
-        return np.full(self.steps, self.beta0 * self.decay**k / self.steps)
+    def beta_at(self, k: int) -> float:
+        """``beta_{k,n}``, the same for every inner step n of step k."""
+        return self.beta0 * self.decay**k / self.steps
 
     @property
     def total_budget(self) -> float:
@@ -173,29 +183,34 @@ def perturbation_directions(
     betas,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[np.ndarray]:
-    """Steering directions v_1..v_N for one iteration, one per entry of betas,
-    computed sequentially.
+    """Steering directions v_1..v_N for one iteration, one per entry of the
+    sequence betas, computed sequentially.
 
     v_{n+1} is the negated normalized subgradient selection at the partially
     shifted point ``y + sum_{i<=n} betas[i] * v_i``, or zero when the selected
-    subgradient's norm is at or below subgrad_zero_tol.  Raises
-    :class:`DimensionMismatchError` if ``phi`` needs a dimension other than y's.
+    subgradient's norm is at or below subgrad_zero_tol.  The objective is
+    checked finite at each of those points before its subgradient is taken.
+    Raises :class:`DimensionMismatchError` if ``phi`` needs a dimension other
+    than y's.
     """
-    betas = np.asarray(betas, dtype=float).tolist()
     point = np.asarray(y, dtype=float)
     if phi.dim is not None:
         _check_dim("objective", phi.dim, point.size)
+    zero_tol = tolerances.subgrad_zero_tol
+    last = len(betas) - 1
     dirs: list[np.ndarray] = []
-    for beta in betas:
+    for n, beta in enumerate(betas):
         if not math.isfinite(phi.evaluate(point)):
             raise NonFiniteObjectiveError("objective evaluated to a non-finite value")
         s = phi.subgradient(point)
-        ns = norm(s)
+        ns = phi._subgradient_norm(s)
         if not math.isfinite(ns):
             raise NonFiniteObjectiveError("subgradient selection is non-finite")
-        v = np.zeros_like(point) if ns <= tolerances.subgrad_zero_tol else -s / ns
+        # IEEE division is sign-symmetric: s / -ns is -s / ns bit for bit
+        v = np.zeros_like(point) if ns <= zero_tol else s / -ns
         dirs.append(v)
-        point = point + beta * v
+        if n < last:  # the point after the last direction is never read
+            point = point + beta * v
     return dirs
 
 
@@ -221,11 +236,10 @@ def superiorized_run(
     """
 
     def shift_at(k: int, y: np.ndarray) -> np.ndarray:
-        betas = sup.betas_at(k)
-        dirs = perturbation_directions(y, phi, betas, tolerances)
+        beta = sup.beta_at(k)
         total = np.zeros_like(y)
-        for b, v in zip(betas.tolist(), dirs):
-            total += b * v
+        for v in perturbation_directions(y, phi, [beta] * sup.steps, tolerances):
+            total += beta * v
         return total
 
     trace = _run_loop(schedule, relax, y0, stop, shift_at)

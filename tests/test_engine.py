@@ -34,7 +34,7 @@ from gdsa.operators import (
     residual,
 )
 from gdsa.strings import ControlSchedule, StringPlan, rho_constant, simultaneous_plan
-from gdsa.superiorize import L1Norm, SuperiorizationSchedule, perturbation_directions, superiorized_run
+from gdsa.superiorize import L1Norm, SuperiorizationSchedule, superiorized_run
 
 
 class TestGdsaStep:
@@ -278,10 +278,20 @@ class TestRunLoopEqualsGdsaStep:
         trace = superiorized_run(schedule, relax, phi, sup, self.X0, stop=self.STOP)
 
         def shift_at(k, x):
-            betas = sup.betas_at(k)
+            # written out from the definitions, so a wrong fast path in
+            # perturbation_directions cannot also be in the reference
+            betas = [sup.beta_at(k)] * sup.steps
+            point, dirs = x, []
+            for b in betas:
+                assert np.isfinite(phi.evaluate(point))
+                s = np.sign(point)
+                ns = norm(s)
+                v = np.zeros_like(point) if ns <= DEFAULT_TOLERANCES.subgrad_zero_tol else -s / ns
+                dirs.append(v)
+                point = point + b * v
             total = np.zeros_like(x)
-            for b, v in zip(betas, perturbation_directions(x, phi, betas)):
-                total = total + b * v
+            for b, v in zip(betas, dirs):
+                total += b * v
             return total
 
         xs, shifts, steps = hand_loop(schedule, lam, self.X0, trace.iterations, shift_at)

@@ -738,6 +738,45 @@ class TestCli:
         main(["run", str(config_file), "--out", str(tmp_path / "o2"), "--quiet"])
         assert (tmp_path / "o1" / "trace.csv").read_bytes() == (tmp_path / "o2" / "trace.csv").read_bytes()
 
+    PERTURBED_2D = {
+        "problem": {"dim": 2, "sets": [
+            {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            {"kind": "halfspace", "a": [1.0, 1.0], "b": 0.5},
+        ]},
+        "schedule": {"cycle": [{"strings": [[1], [2]], "weights": [0.5, 0.5]}]},
+        "relaxation": {"epsilon": 0.05, "constant": 1.0},
+        "perturbation": {"beta0": 0.5, "decay": 0.9},
+        "seed": 3,
+        "x0": [4.0, -2.5],
+    }
+
+    @pytest.mark.parametrize(
+        "base, flags, stated",
+        [
+            ({}, ["--seed", "7"], {"seed": 7}),
+            ({}, ["--seed", "8"], {"seed": 8}),
+            ({"perturbation": {"beta0": 0.5, "seed": 5}}, ["--seed", "7"],
+             {"seed": 7, "perturbation": {"beta0": 0.5, "seed": 7}}),
+            ({}, ["--tol", "1e-4"], {"tolerances": {"conv_tol": 1e-4}, "stop": {"step_tol": 1e-4}}),
+            ({}, ["--max-iters", "5"], {"stop": {"max_iters": 5}}),
+        ],
+        ids=["seed_7", "seed_8", "perturbation_seed", "tol", "max_iters"],
+    )
+    def test_an_override_flag_is_hashed_as_the_config_that_states_it(self, tmp_path, base, flags, stated):
+        def run_doc(name, doc, *argv):
+            path, out = tmp_path / f"{name}.json", tmp_path / name
+            path.write_text(json.dumps(doc))
+            assert main(["run", str(path), "--out", str(out), "--quiet", *argv]) == 0
+            return json.loads((out / "summary.json").read_text()), (out / "trace.csv").read_bytes()
+
+        doc = {**self.PERTURBED_2D, **base}
+        stated_doc = {**doc, **stated}
+        plain, flagged = run_doc("plain", doc), run_doc("flagged", doc, *flags)
+        # the flag's run writes what a file stating its value writes, config_hash included
+        assert flagged == run_doc("stated", stated_doc)
+        assert flagged[0]["config_hash"] == harness.config_hash(stated_doc)
+        assert flagged[0]["config_hash"] != plain[0]["config_hash"] and flagged[1] != plain[1]
+
     def test_verify_passes(self, config_file, capsys):
         assert main(["verify", str(config_file)]) == 0
         out = capsys.readouterr().out

@@ -1,9 +1,10 @@
 """The leaves' single-vector paths against frozen copies of the stacked formulas.
 
-``HalfspaceProjection`` and ``BallProjection`` take a scalar path for one
-float64 vector; ``HyperplaneProjection`` once did too.  The functions below
-are the formulas every input went through before those paths existed; they
-are kept here, unchanged, as the reference.  The hyperplane and the ball must
+``HalfspaceProjection``, ``HyperplaneProjection`` and ``BallProjection`` take
+a scalar path for one float64 vector, and ``BoxProjection`` calls
+``ndarray.clip`` without ``np.clip``'s wrapper.  The functions below are the
+formulas every input went through before those paths existed; they are kept
+here, unchanged, as the reference.  The hyperplane, the ball and the box must
 match them byte for byte.  The half-space returns a point already inside as the same
 array, so where x holds a -0.0 its result can differ from ``x - 0.0 * a`` in
 the sign of that zero, and only there; it must still be equal in value.
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import same_bits
 from gdsa.core import norm
 from gdsa.engine import RelaxationSchedule, StopRule, run
-from gdsa.operators import BallProjection, HalfspaceProjection, HyperplaneProjection
+from gdsa.operators import BallProjection, BoxProjection, HalfspaceProjection, HyperplaneProjection
 from gdsa.strings import ControlSchedule, StringPlan
 
 
@@ -94,7 +95,30 @@ def test_hyperplane_vector_path(data, n, place):
     op = HyperplaneProjection(a, b)
     if nan:
         x = with_nan(x, rng)
-    assert same_bits(op.apply(x), old_hyperplane(op, x))
+    out = op.apply(x)
+    assert same_bits(out, old_hyperplane(op, x))
+    assert same_bits(out, op.apply(x[None, :])[0])  # the stack path's row
+    if nan:  # a NaN entry makes the dot NaN, and the dot reaches every entry
+        assert np.isnan(out).all()
+
+
+@pytest.mark.parametrize(
+    "x, lo, hi",
+    [
+        (-0.0, 0.0, 1.0),  # -0.0 on a lower bound of +0.0
+        (0.0, -0.0, 1.0),
+        (-0.0, -1.0, 0.0),  # -0.0 on an upper bound of +0.0
+        (0.0, -1.0, -0.0),
+        (-0.0, 0.0, 0.0),  # a degenerate edge
+        (np.nan, 0.0, 1.0),
+    ],
+)
+def test_box_keeps_the_bytes_of_np_clip(x, lo, hi):
+    xs = np.array([x, -2.0, 0.5, 3.0])
+    op = BoxProjection([lo, -1.0, -1.0, -1.0], [hi, 1.0, 1.0, 1.0])
+    assert same_bits(op.apply(xs), np.clip(xs, op.lo, op.hi))
+    assert same_bits(op.apply(xs[None, :]), np.clip(xs[None, :], op.lo, op.hi))
+    assert same_bits(op.apply(xs.tolist()), np.clip(xs.tolist(), op.lo, op.hi))
 
 
 @given(data=st.data(), n=st.integers(1, 50), place=st.sampled_from(PLACES + ("centre",)))

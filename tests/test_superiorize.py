@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import segment_problem, simultaneous_schedule
 from gdsa import engine
-from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances
+from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances, norm
 from gdsa.engine import IterationTrace, RelaxationSchedule, StopRule, run
 from gdsa.harness import _parse_objective, constrained_min_oracle, GridSpec
 from gdsa.operators import residual
@@ -112,6 +112,27 @@ class TestDirections:
                 n = float(np.linalg.norm(v))
                 assert n == 0.0 or abs(n - 1.0) <= DEFAULT_TOLERANCES.eq_tol
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(1e299, 1.7e308),
+                st.floats(-1.7e308, -1e299),
+            ),
+            min_size=1,
+            max_size=600,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_l1_subgradient_norm_is_the_norm_of_the_sign(self, xl):
+        # the count of nonzero signs must round exactly as sqrt(sum(s * s)),
+        # also past the 128-entry blocks of numpy's pairwise sum
+        s = np.sign(np.array(xl))
+        fast = L1Norm()._subgradient_norm(s)
+        assert type(fast) is float
+        assert np.float64(fast).tobytes() == np.float64(norm(s)).tobytes()
+
     def test_sequential_points_used(self):
         # second direction is evaluated at the once-shifted point
         phi = WeightedSquaredNorm(np.zeros(1))
@@ -159,7 +180,7 @@ class TestSchedule:
     def test_budget_accounting(self):
         sup = SuperiorizationSchedule(beta0=0.5, decay=0.9, steps=2)
         assert sup.total_budget == pytest.approx(5.0)
-        assert sup.betas_at(0) == pytest.approx([0.25, 0.25])
+        assert sup.beta_at(0) == 0.25 and sup.beta_at(2) == pytest.approx(0.2025)
 
 
 class TestSuperiorizedRun:
@@ -223,7 +244,7 @@ class TestSuperiorizedRun:
         trace = superiorized_run(interval_schedule, unit_relax, phi, sup, [7.3], stop=default_stop)
         for k in range(trace.iterations):
             shift = trace.perturbations[k]
-            assert shift <= float(np.sum(sup.betas_at(k))) + DEFAULT_TOLERANCES.eq_tol
+            assert shift <= sup.steps * sup.beta_at(k) + DEFAULT_TOLERANCES.eq_tol
 
     def test_two_ball_l1_limit_in_target_set(self, two_ball, ball_schedule, unit_relax):
         sup = SuperiorizationSchedule(beta0=0.5, decay=0.9)
