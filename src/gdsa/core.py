@@ -46,6 +46,19 @@ def _check_dim(what: str, size: int, dim: int) -> None:
         raise DimensionMismatchError(f"{what} dimension {size} differs from problem dimension {dim}")
 
 
+def _common_dim(what: str, dims) -> None:
+    """Refuse a ``what`` whose operands' dimensions ``dims`` are not all one."""
+    found = sorted(set(dims))
+    if len(found) != 1:
+        raise DimensionMismatchError(f"{what} mixes dimensions {found}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only; the one place a stored array is frozen."""
+    a.flags.writeable = False
+    return a
+
+
 def _as_int(value) -> int:
     """``int(value)``, except that a boolean, a string or a float with a
     fractional part is refused, not converted."""

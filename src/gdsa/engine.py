@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Tolerances, _check_dim, as_vector, norm
+from .core import DEFAULT_TOLERANCES, Tolerances, _check_dim, _frozen, as_vector, norm
 from .operators import FixedPointWitness, Operator, _relaxed, apply, residual
 from .strings import ControlSchedule, PlanSignature, rho_constant
 
@@ -128,13 +128,12 @@ class PerturbationSchedule:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.directions is not None:
-            dirs = tuple(as_vector(v).copy() for v in self.directions)
+            dirs = tuple(_frozen(as_vector(v).copy()) for v in self.directions)
             if not dirs:
                 raise ValueError("fixed direction list must be nonempty")
             for v in dirs:
                 if float(np.sqrt(v @ v)) > 1.0 + DEFAULT_TOLERANCES.eq_tol:
                     raise ValueError("perturbation directions must have norm <= 1")
-                v.flags.writeable = False
             object.__setattr__(self, "directions", dirs)
 
     def beta_at(self, k: int) -> float:
@@ -378,7 +377,7 @@ def fejer_monitor(
         slack = d2[:-1] - coeff * steps2 - d2[1:]
         per_step_min = np.minimum(per_step_min, slack)
     min_slack = float(np.min(per_step_min)) if trace.iterations else 0.0
-    return FejerReport(min_slack >= -tolerances.slack_tol, min_slack, per_step_min)
+    return FejerReport(min_slack >= -tolerances.slack_tol, min_slack, _frozen(per_step_min))
 
 
 @dataclass(frozen=True)
@@ -405,4 +404,4 @@ def distance_decay_diagnostic(
     xs = trace.iterates
     cols = [residual(op, xs) for op in per_set_projectors]
     res = np.stack(cols, axis=-1) if cols else np.zeros((len(xs), 0))
-    return DistanceDecayReport(residuals=res)
+    return DistanceDecayReport(residuals=_frozen(res))

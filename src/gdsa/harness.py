@@ -20,8 +20,8 @@ import numpy as np
 
 from ._float_text import CELL, format_17g
 from .core import (
-    DEFAULT_TOLERANCES, Tolerances, _as_float, _as_floats, _as_int, _check_dim, as_vector, check_weights,
-    norm,
+    DEFAULT_TOLERANCES, Tolerances, _as_float, _as_floats, _as_int, _check_dim, _frozen, as_vector,
+    check_weights, norm,
 )
 from .engine import (
     IterationTrace,
@@ -297,7 +297,7 @@ class ExperimentConfig:
             self.perturb.direction_stream(dim)  # refuses a direction of another dimension
         if self.objective is not None and self.objective.dim is not None:
             _check_dim("objective", self.objective.dim, dim)
-        object.__setattr__(self, "x0", as_vector(self.x0, dim=dim))
+        object.__setattr__(self, "x0", _frozen(as_vector(self.x0, dim=dim).copy()))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.perturb is not None and self.sup is not None:

@@ -30,6 +30,8 @@ from .core import (
     SampleSpec,
     Tolerances,
     _check_dim,
+    _common_dim,
+    _frozen,
     _row_dots,
     as_vector,
     check_weights,
@@ -63,11 +65,6 @@ class AlphaUnknownError(ValueError):
     """The relaxation calculus does not cover this tree shape; declare alpha explicitly."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _is_vector(x) -> bool:
     """A single float64 vector: the leaves' scalar fast paths take only these."""
     return type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64
@@ -96,7 +93,7 @@ class _AffineProjection(Operator):
     _aa: float = field(init=False, repr=False)  # <a, a>, computed once
 
     def __post_init__(self) -> None:
-        a = _readonly(as_vector(self.a).copy())
+        a = _frozen(as_vector(self.a).copy())
         aa = float(a @ a)
         if aa == 0.0:
             raise ValueError(f"{type(self).__name__} needs a nonzero normal")
@@ -135,8 +132,6 @@ class HyperplaneProjection(_AffineProjection):
     """Metric projection onto the hyperplane {u : <a, u> = b}."""
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if _is_vector(x):  # the stacked formula's arithmetic on Python floats
-            return x - ((float(x @ self.a) - self.b) / self._aa) * self.a
         return x - ((x @ self.a - self.b) / self._aa)[..., None] * self.a
 
 
@@ -149,7 +144,7 @@ class BallProjection(Operator):
     declared_alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
-        c = _readonly(as_vector(self.center).copy())
+        c = _frozen(as_vector(self.center).copy())
         if not 0.0 < float(self.radius) < np.inf:
             raise ValueError("ball radius must be finite and positive")
         object.__setattr__(self, "center", c)
@@ -177,8 +172,8 @@ class BoxProjection(Operator):
     declared_alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
-        lo = _readonly(as_vector(self.lo).copy())
-        hi = _readonly(as_vector(self.hi, dim=lo.size).copy())
+        lo = _frozen(as_vector(self.lo).copy())
+        hi = _frozen(as_vector(self.hi, dim=lo.size).copy())
         if np.any(lo > hi):
             raise ValueError("box requires lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -198,16 +193,12 @@ class BoxProjection(Operator):
 class Identity(Operator):
     """The identity operator."""
 
-    dim_: int
+    dim: int
     declared_alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.dim_ < 1:
+        if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.dim_
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -264,10 +255,10 @@ class _HalfspaceFamily:
 
     def __init__(self, terms: tuple[tuple[float, HalfspaceProjection], ...]) -> None:
         leaves = [op for _, op in terms]
-        self.matrix = _readonly(np.stack([op.a for op in leaves]))
-        self.b = _readonly(np.array([op.b for op in leaves]))
-        self.aa = _readonly(np.array([op._aa for op in leaves]))
-        self.w = _readonly(np.array([[w] for w, _ in terms]))
+        self.matrix = _frozen(np.stack([op.a for op in leaves]))
+        self.b = _frozen(np.array([op.b for op in leaves]))
+        self.aa = _frozen(np.array([op._aa for op in leaves]))
+        self.w = _frozen(np.array([[w] for w, _ in terms]))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         dots = _row_dots(x, self.matrix)
@@ -299,9 +290,7 @@ class ConvexCombination(Operator):
             raise ValueError("convex combination needs at least one term")
         weights = check_weights([w for w, _ in self.terms], what="convex combination weights")
         terms = tuple(zip(weights, (op for _, op in self.terms)))
-        dims = {op.dim for _, op in terms}
-        if len(dims) != 1:
-            raise DimensionMismatchError("convex combination mixes dimensions")
+        _common_dim("convex combination", (op.dim for _, op in terms))
         object.__setattr__(self, "terms", terms)
         if len(terms) > 1 and self.dim > 1 and all(type(op) is HalfspaceProjection for _, op in terms):
             object.__setattr__(self, "_halfspaces", _HalfspaceFamily(terms))
@@ -332,9 +321,7 @@ class Composition(Operator):
         ops = tuple(self.ops)
         if not ops:
             raise ValueError("composition needs at least one operator")
-        dims = {op.dim for op in ops}
-        if len(dims) != 1:
-            raise DimensionMismatchError("composition mixes dimensions")
+        _common_dim("composition", (op.dim for op in ops))
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -418,7 +405,7 @@ class FixedPointWitness:
             raise ValueError("witness set must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise ValueError("witness points must be finite")
-        object.__setattr__(self, "points", _readonly(pts.copy()))
+        object.__setattr__(self, "points", _frozen(pts.copy()))
 
     def verify(self, op: Operator, tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
         """Max residual of the witnesses under op; raises if any exceeds eq_tol."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import DimensionMismatchError, _as_int, check_weights
+from .core import _as_int, _common_dim, check_weights
 from .operators import (
     Composition,
     ConvexCombination,
@@ -135,9 +135,7 @@ class ControlSchedule:
             raise ValueError("schedule needs at least one base operator")
         if not cycle:
             raise ValueError("schedule cycle must be nonempty")
-        dims = {op.dim for op in operators}
-        if len(dims) != 1:
-            raise DimensionMismatchError("base operators mix dimensions")
+        _common_dim("control schedule", (op.dim for op in operators))
         m = len(operators)
         for plan in preamble + cycle:
             if plan.max_index() > m:
@@ -177,9 +175,6 @@ class ControlSchedule:
             op = averaged_operator(plan, self.operators)
             self._op_cache[sig] = op
         return op
-
-    def operator_at(self, k: int) -> Operator:
-        return self.operator_for(self.plan_at(k))
 
     def distinct_operators(self) -> dict[PlanSignature, Operator]:
         """One averaged operator per distinct plan signature in the schedule,

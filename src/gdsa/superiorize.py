@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Tolerances, _check_dim, as_vector, norm
+from .core import DEFAULT_TOLERANCES, Tolerances, _check_dim, _common_dim, _frozen, as_vector, norm
 from .engine import IterationTrace, RelaxationSchedule, StopRule, _run_loop
 from .strings import ControlSchedule
 
@@ -77,8 +77,7 @@ class WeightedSquaredNorm(ObjectiveFunction):
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        c = as_vector(self.center).copy()
-        c.flags.writeable = False
+        c = _frozen(as_vector(self.center).copy())
         if not 0.0 < self.weight < math.inf:
             raise ValueError("weight must be finite and positive")
         object.__setattr__(self, "center", c)
@@ -122,16 +121,11 @@ class MaxOfAffine(ObjectiveFunction):
     def __post_init__(self) -> None:
         if not self.pieces:
             raise ValueError("need at least one affine piece")
-        pieces = []
-        dim = None
-        for a, b in self.pieces:
-            a = as_vector(a, dim=dim).copy()
-            a.flags.writeable = False
-            dim = a.size
-            pieces.append((a, float(b)))
+        pieces = tuple((_frozen(as_vector(a).copy()), float(b)) for a, b in self.pieces)
+        _common_dim("max of affine", (a.size for a, _ in pieces))
         if not all(math.isfinite(b) for _, b in pieces):
             raise ValueError("affine offsets must be finite")
-        object.__setattr__(self, "pieces", tuple(pieces))
+        object.__setattr__(self, "pieces", pieces)
 
     @property
     def dim(self) -> int:
@@ -282,9 +276,10 @@ def strict_fejer_monitor(
         raise ValueError("k0 must be >= 0")
     if len(trace.iterates) < k0 + 2:
         raise ValueError(f"trace too short: needs at least {k0 + 2} iterates")
-    z = as_vector(cmin_witness, dim=trace.iterates.shape[-1])
+    z = as_vector(cmin_witness)
+    _check_dim("witness", z.size, trace.iterates.shape[-1])
     d2 = np.sum((trace.iterates - z) ** 2, axis=-1)
-    decrements = d2[:-1] - d2[1:]
+    decrements = _frozen(d2[:-1] - d2[1:])
     if float(np.sqrt(d2[-1])) <= tolerances.conv_tol:
         return StrictFejerReport(None, True, decrements)
     ok = bool(np.all(decrements[k0:] > tolerances.slack_tol))

@@ -77,6 +77,7 @@ def _operator_suite():
     seg = segment_problem()
     p1, p2 = intervals.projectors
     b1, b2 = balls.projectors
+    interval_sched, ball_sched = simultaneous_schedule(intervals), simultaneous_schedule(balls)
     entries = [
         ("interval [-3,-1]", p1, 1.0, [[-2.0], [-1.0], [-3.0]]),
         ("interval [1,3]", p2, 1.0, [[1.0], [2.0], [3.0]]),
@@ -85,11 +86,11 @@ def _operator_suite():
         ("segment box", seg.projectors[0], 1.0, [[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]),
         (
             "simultaneous intervals",
-            simultaneous_schedule(intervals).operator_at(0),
+            interval_sched.operator_for(interval_sched.plan_at(0)),
             1.0,
             [[0.0]],
         ),
-        ("simultaneous balls", simultaneous_schedule(balls).operator_at(0), 1.0, [[0.0, 1.0]]),
+        ("simultaneous balls", ball_sched.operator_for(ball_sched.plan_at(0)), 1.0, [[0.0, 1.0]]),
         ("string 1-2 intervals", Composition((p1, p2)), 0.5, [[1.0]]),
         ("string 2-1 intervals", Composition((p2, p1)), 0.5, [[-1.0]]),
         ("string 1-2 balls", Composition((b1, b2)), 0.5, [[1.0, 1.0]]),
@@ -184,7 +185,7 @@ def test_criterion_4_fejer_inequality():
 def test_criterion_5_perturbation_resilience():
     schedule = simultaneous_schedule(two_interval_problem())
     oracle = proximity_argmin_oracle(two_interval_problem(), (0.5, 0.5))
-    avg = schedule.operator_at(0)
+    avg = schedule.operator_for(schedule.plan_at(0))
     worst_res, worst_gap = 0.0, 0.0
     for seed in range(5):
         perturb = PerturbationSchedule(beta0=0.5, decay=0.9, seed=seed)
@@ -284,7 +285,7 @@ def test_criterion_8_oracle_equivalence():
     worst = 0.0
     for name, problem, weights, x0 in cases:
         schedule = simultaneous_schedule(problem, weights)
-        fp = fixed_point_oracle(schedule.operator_at(0), x0)
+        fp = fixed_point_oracle(schedule.operator_for(schedule.plan_at(0)), x0)
         argmin = proximity_argmin_oracle(problem, weights, GridSpec(-6, 6, 49))
         gap = float(np.max(np.abs(fp - argmin)))
         worst = max(worst, gap)

@@ -59,7 +59,7 @@ def test_operator_for_reads_the_plan_cache():
         cycle=(gdsa.simultaneous_plan(2),),
     )
     assert isinstance(schedule._op_cache, dict) and len(schedule._op_cache) == 0
-    schedule.operator_at(0)
+    schedule.operator_for(schedule.plan_at(0))
     assert len(schedule._op_cache) == 1
 
 

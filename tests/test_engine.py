@@ -39,7 +39,7 @@ from gdsa.superiorize import L1Norm, SuperiorizationSchedule, superiorized_run
 
 class TestGdsaStep:
     def test_fixed_point_unmoved(self, interval_schedule):
-        op = interval_schedule.operator_at(0)
+        op = interval_schedule.operator_for(interval_schedule.plan_at(0))
         x = np.array([0.0])
         for lam in (0.1, 1.0, 1.9):
             assert np.array_equal(gdsa_step(x, op, lam), x)
@@ -50,7 +50,7 @@ class TestGdsaStep:
         assert np.array_equal(gdsa_step(x, ball, 1.0), apply(ball, x))
 
     def test_two_interval_midpoint(self, interval_schedule):
-        op = interval_schedule.operator_at(0)
+        op = interval_schedule.operator_for(interval_schedule.plan_at(0))
         # P1(0.5) = -1 and P2(0.5) = 1, so the average annihilates 0.5
         assert gdsa_step(np.array([0.5]), op, 1.0) == pytest.approx([0.0])
 
@@ -235,7 +235,7 @@ def hand_loop(schedule, lam, x0, iterations, shift_at=None):
         if shift_at is not None:
             shifts.append(shift_at(k, x))
             y = x + shifts[-1]
-        x_next = gdsa_step(y, schedule.operator_at(k), lam)
+        x_next = gdsa_step(y, schedule.operator_for(schedule.plan_at(k)), lam)
         steps.append(norm(x_next - x))
         xs.append(x_next)
         x = x_next
@@ -440,7 +440,7 @@ class TestDistanceDecay:
         report = distance_decay_diagnostic(trace, two_interval.projectors)
         # the inconsistent problem's limit violates each set by exactly 1
         assert report.residuals[-1] == pytest.approx([1.0, 1.0], abs=1e-8)
-        avg_report = distance_decay_diagnostic(trace, [interval_schedule.operator_at(0)])
+        avg_report = distance_decay_diagnostic(trace, [interval_schedule.operator_for(interval_schedule.plan_at(0))])
         assert np.all(avg_report.residuals[-10:] <= DEFAULT_TOLERANCES.conv_tol)
 
     def test_point_outside_all_sets_reports_positive(self, two_interval, interval_schedule, unit_relax):
@@ -462,13 +462,13 @@ class TestRelaxedStepOperator:
     def test_relaxed_step_rho_fne(self, interval_schedule, lam):
         # the one-step map inherits rho = (1 + rho_U - lam) / lam
         rho_u = rho_constant(interval_schedule)
-        op = Relaxation(interval_schedule.operator_at(0), lam)
+        op = Relaxation(interval_schedule.operator_for(interval_schedule.plan_at(0)), lam)
         rho = (1.0 + rho_u - lam) / lam
         assert check_rho_fne(op, rho, SampleSpec(dim=1, seed=21)).passed
 
     def test_relaxed_step_rho_fne_two_ball(self, ball_schedule):
         rho_u = rho_constant(ball_schedule)
         lam = 1.5
-        op = Relaxation(ball_schedule.operator_at(0), lam)
+        op = Relaxation(ball_schedule.operator_for(ball_schedule.plan_at(0)), lam)
         rho = (1.0 + rho_u - lam) / lam
         assert check_rho_fne(op, rho, SampleSpec(dim=2, seed=22)).passed

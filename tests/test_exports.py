@@ -82,19 +82,39 @@ def reached_names(paths) -> set[str]:
     return reached
 
 
-def test_every_public_name_is_reached_inside_the_package():
-    # A listed name stays only if a package module other than __init__.py or a
-    # benchmark file reaches it, or it has a stated role in the paper.  The
-    # re-export in __init__.py does not count: it reaches every listed name.
+def reached_inside_the_package() -> set[str]:
+    """The names that a package module other than __init__.py or a benchmark
+    file reaches, plus those with a stated role in the paper.  The re-export
+    in __init__.py does not count: it reaches every listed name."""
     package = Path(gdsa.__file__).parent
     bench = Path(__file__).resolve().parent.parent / "bench"
     sources = [path for path in package.glob("*.py") if path.name != "__init__.py"]
-    reached = reached_names(sources + sorted(bench.glob("*.py"))) | PAPER_ROLES.keys()
+    return reached_names(sources + sorted(bench.glob("*.py"))) | PAPER_ROLES.keys()
+
+
+def test_every_public_name_is_reached_inside_the_package():
+    reached = reached_inside_the_package()
     unreached = [
         f"{module.__name__}.{name}" for module in MODULES for name in module.__all__ if name not in reached
     ]
     assert unreached == []
     assert sorted(PAPER_ROLES.keys() - {name for module in MODULES for name in module.__all__}) == []
+
+
+def test_every_public_method_and_property_is_reached_inside_the_package():
+    # the same rule for the methods and properties that a listed class defines
+    reached = reached_inside_the_package()
+    unreached = [
+        f"{module.__name__}.{name}.{attr}"
+        for module in MODULES
+        for name in module.__all__
+        if inspect.isclass(cls := getattr(module, name))
+        for attr, member in vars(cls).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(member) or isinstance(member, (property, staticmethod, classmethod)))
+        and attr not in reached
+    ]
+    assert unreached == []
 
 
 @pytest.mark.parametrize("module", REEXPORTED, ids=[m.__name__ for m in REEXPORTED])

@@ -89,13 +89,14 @@ class TestFixedPointOracle:
         assert np.allclose(fixed_point_oracle(ball, [5.0, 0.0]), [1.0, 0.0])
 
     def test_two_interval_averaged(self, interval_schedule):
-        z = fixed_point_oracle(interval_schedule.operator_at(0), [7.3])
+        z = fixed_point_oracle(interval_schedule.operator_for(interval_schedule.plan_at(0)), [7.3])
         assert abs(z[0]) <= DEFAULT_TOLERANCES.conv_tol / 10
 
     @pytest.mark.parametrize("make", [two_interval_problem, two_ball_problem, overlapping_ball_problem])
     def test_stack_matches_single_calls(self, make):
         problem = make()
-        op = simultaneous_schedule(problem).operator_at(0)
+        schedule = simultaneous_schedule(problem)
+        op = schedule.operator_for(schedule.plan_at(0))
         starts = GridSpec(-5, 5, 7).mesh(problem.dim)
         stacked = fixed_point_oracle(op, starts)
         singles = np.stack([fixed_point_oracle(op, x0) for x0 in starts])
@@ -165,7 +166,7 @@ class TestFixedPointOracle:
         ]
         for problem, weights, x0 in cases:
             sched = simultaneous_schedule(problem, weights)
-            fp = fixed_point_oracle(sched.operator_at(0), x0)
+            fp = fixed_point_oracle(sched.operator_for(sched.plan_at(0)), x0)
             argmin = proximity_argmin_oracle(problem, weights, GridSpec(-6, 6, 49))
             assert np.allclose(fp, argmin, atol=10 * DEFAULT_TOLERANCES.conv_tol)
 

@@ -1,11 +1,12 @@
 """The leaves' single-vector paths against frozen copies of the stacked formulas.
 
-``HalfspaceProjection``, ``HyperplaneProjection`` and ``BallProjection`` take
-a scalar path for one float64 vector, and ``BoxProjection`` calls
-``ndarray.clip`` without ``np.clip``'s wrapper.  The functions below are the
-formulas every input went through before those paths existed; they are kept
-here, unchanged, as the reference.  The hyperplane, the ball and the box must
-match them byte for byte.  The half-space returns a point already inside as the same
+``HalfspaceProjection`` and ``BallProjection`` take a scalar path for one
+float64 vector, and ``BoxProjection`` calls ``ndarray.clip`` without
+``np.clip``'s wrapper.  The functions below are the formulas every input went
+through before those paths existed; they are kept here, unchanged, as the
+reference.  ``HyperplaneProjection`` has one formula for a vector and a stack,
+and is held to it too.  The hyperplane, the ball and the box must match them
+byte for byte.  The half-space returns a point already inside as the same
 array, so where x holds a -0.0 its result can differ from ``x - 0.0 * a`` in
 the sign of that zero, and only there; it must still be equal in value.
 """

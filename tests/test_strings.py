@@ -142,7 +142,7 @@ class TestRhoConstant:
         sched = ControlSchedule(operators=(P_A, P_B), cycle=(plan_of((1, 2), (2, 1)),))
         assert rho_constant(sched) == 0.5
         # cross-check: the averaged operator satisfies the rho = 1/2 inequality
-        op = sched.operator_at(0)
+        op = sched.operator_for(sched.plan_at(0))
         assert check_rho_fne(op, 0.5, SampleSpec(dim=1, seed=2)).passed
 
     def test_monotone_nonincreasing_in_max_length(self):
@@ -272,7 +272,7 @@ class TestSchedule:
 
     def test_operator_cache_reuses_instances(self):
         sched = ControlSchedule(operators=(P_A, P_B), cycle=(PLAN_A, PLAN_B))
-        assert sched.operator_at(0) is sched.operator_at(2)
+        assert sched.operator_for(sched.plan_at(0)) is sched.operator_for(sched.plan_at(2))
 
     def test_distinct_operators_are_the_cached_ones_in_first_occurrence_order(self):
         # plan_of((2,), (1,)) has PLAN_A's signature, so the cycle repeats two plans
@@ -284,11 +284,11 @@ class TestSchedule:
 
     def test_replaced_operators_get_a_fresh_cache(self):
         sched = ControlSchedule(operators=(P_A, P_B), cycle=(simultaneous_plan(2),))
-        assert apply(sched.operator_at(0), np.array([100.0])) == pytest.approx([1.0])
+        assert apply(sched.operator_for(sched.plan_at(0)), np.array([100.0])) == pytest.approx([1.0])
         wide = (BoxProjection([-30.0], [-10.0]), BoxProjection([10.0], [30.0]))
         swapped = replace(sched, operators=wide)
-        assert apply(swapped.operator_at(0), np.array([100.0])) == pytest.approx([10.0])
-        assert apply(sched.operator_at(0), np.array([100.0])) == pytest.approx([1.0])
+        assert apply(swapped.operator_for(swapped.plan_at(0)), np.array([100.0])) == pytest.approx([10.0])
+        assert apply(sched.operator_for(sched.plan_at(0)), np.array([100.0])) == pytest.approx([1.0])
 
     def test_plan_index_above_m_rejected(self):
         with pytest.raises(ValueError):

@@ -210,10 +210,24 @@ CASES = {
         lambda: ControlSchedule(operators=(UNIT_BOX,), cycle=(simultaneous_plan(1),)).plan_at(-1),
         IndexError, "schedule index must be >= 0"),
     "empty MaxOfAffine": (lambda: MaxOfAffine(()), ValueError, "at least one affine piece"),
+    "MaxOfAffine mixed dimensions": (
+        lambda: MaxOfAffine((([1.0], 0.0), ([1.0, 0.0], 0.0))), DimensionMismatchError,
+        r"max of affine mixes dimensions \[1, 2\]"),
     "SuperiorizationSchedule steps": (
         lambda: SuperiorizationSchedule(steps=0), ValueError, "steps must be a positive integer"),
     "strict_fejer_monitor k0": (
         lambda: strict_fejer_monitor(trace(3), [0.0], k0=-1), ValueError, "k0 must be >= 0"),
+    "strict_fejer_monitor witness of another dimension": (
+        lambda: strict_fejer_monitor(trace(3), [0.0, 0.0]),
+        DimensionMismatchError, "witness dimension 2 differs from problem dimension 1"),
+    "ConvexCombination mixed dimensions": (
+        lambda: ConvexCombination(((0.5, UNIT_BOX), (0.5, UNIT_SQUARE))),
+        DimensionMismatchError, r"convex combination mixes dimensions \[1, 2\]"),
+    "Composition mixed dimensions": (
+        lambda: Composition((UNIT_SQUARE, UNIT_BOX)), DimensionMismatchError, r"composition mixes dimensions \[1, 2\]"),
+    "ControlSchedule mixed dimensions": (
+        lambda: ControlSchedule(operators=(UNIT_BOX, UNIT_SQUARE), cycle=(simultaneous_plan(2),)),
+        DimensionMismatchError, r"control schedule mixes dimensions \[1, 2\]"),
 }
 
 
