@@ -124,8 +124,15 @@ class HalfspaceProjection(_AffineProjection):
             if e > 0.0:
                 return x - (e / self._aa) * self.a
             # e is NaN: the stacked formula below propagates it
-        excess = np.maximum(0.0, x @ self.a - self.b)
+        excess = np.maximum(0.0, self._gap(x))
         return x - (excess / self._aa)[..., None] * self.a
+
+    def _gap(self, x: np.ndarray) -> np.ndarray:
+        """``<a, x> - b`` by the leaf's own gemv: the excess before its clamp at 0.
+
+        The stacked ``apply`` and the stacked ``residual`` both read it.
+        """
+        return x @ self.a - self.b
 
 
 class HyperplaneProjection(_AffineProjection):
@@ -335,18 +342,39 @@ class Composition(Operator):
         return out
 
 
-def apply(op: Operator, x) -> np.ndarray:
-    """Evaluate the operator expression at x (a vector or a stack of vectors)."""
+def _operand(op: Operator, x) -> np.ndarray:
+    """x as a float array, refused unless its last axis has the operator's dimension."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != op.dim:
         raise DimensionMismatchError(f"operator expects dimension {op.dim}, got {x.shape[-1]}")
-    return op.apply(x)
+    return x
 
 
-def residual(op: Operator, x) -> float:
-    """||T(x) - x||, the displacement of x under the operator."""
-    x = np.asarray(x, dtype=float)
-    return norm(apply(op, x) - x)
+def apply(op: Operator, x) -> np.ndarray:
+    """Evaluate the operator expression at x (a vector or a stack of vectors)."""
+    return op.apply(_operand(op, x))
+
+
+def residual(op: Operator, x) -> float | np.ndarray:
+    """||T(x) - x||, the displacement of x under the operator: a float for a
+    vector, the row residuals for a stack of vectors.
+
+    On a stack, a half-space skips the rows it leaves fixed, bit for bit: it
+    evaluates ``||(x - (max(0, g) / <a, a>) a) - x||``, g = ``<a, x> - b``,
+    only on the rows it moves and writes 0.0 for the others, which is what
+    the formula gives there.  A row is fixed when g is finite and at most 0;
+    a NaN g, and a g of -inf (an infinite entry, whose ``inf - inf`` makes
+    the residual NaN), take the formula.
+    """
+    x = _operand(op, x)
+    if type(op) is not HalfspaceProjection or x.ndim == 1:
+        return norm(op.apply(x) - x)
+    gap = op._gap(x)
+    moved = ~((gap <= 0.0) & (gap > -np.inf))
+    out = np.zeros(gap.shape)
+    r = x[moved]
+    out[moved] = norm((r - (np.maximum(0.0, gap[moved]) / op._aa)[:, None] * op.a) - r)
+    return out
 
 
 def propagate_alpha(op: Operator) -> float:

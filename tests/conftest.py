@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -105,6 +109,16 @@ def unit_relax() -> RelaxationSchedule:
 @pytest.fixture
 def default_stop() -> StopRule:
     return StopRule(step_tol=1e-8, window=10, max_iters=10_000)
+
+
+def import_bench(name: str):
+    """The benchmark's module ``bench/<name>.py``; its folder is on the path only during the import."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(bench)
 
 
 def same_bits(u, v) -> bool:

@@ -8,18 +8,15 @@ benchmark runs, so this test pins the list.
 
 from __future__ import annotations
 
-import importlib
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import gdsa
 import gdsa.cli
 import gdsa.superiorize
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import import_bench, same_bits
+from gdsa.core import norm
+from test_leaf_fast_paths import old_halfspace
 
 WRAPPED = [
     (gdsa.HalfspaceProjection, "apply"),
@@ -63,16 +60,8 @@ def test_operator_for_reads_the_plan_cache():
     assert len(schedule._op_cache) == 1
 
 
-def import_tracing():
-    sys.path.insert(0, str(BENCH))
-    try:
-        return importlib.import_module("tracing")
-    finally:
-        sys.path.remove(str(BENCH))
-
-
 def test_tracer_installs_and_restores():
-    tracing = import_tracing()
+    tracing = import_bench("tracing")
     before = {(owner, name): owner.__dict__[name] for owner, name in WRAPPED}
     originals = tracing.install(tracing.Tracer(), gdsa, gdsa.cli)
     try:
@@ -83,7 +72,7 @@ def test_tracer_installs_and_restores():
 
 
 def test_traced_unperturbed_run_counts_trace_bytes():
-    tracing = import_tracing()
+    tracing = import_bench("tracing")
     tracer = tracing.Tracer()
     schedule = gdsa.ControlSchedule(
         operators=(gdsa.BoxProjection([-3.0], [-1.0]), gdsa.BoxProjection([1.0], [3.0])),
@@ -129,3 +118,31 @@ def test_string_step_calls_each_halfspace_leaf_once(monkeypatch, shape):
                      5.0 * rng.standard_normal(n), stop=gdsa.StopRule(step_tol=1e-300, window=1, max_iters=1))
     assert trace.iterations == 1
     assert len(calls) == m
+
+
+def test_strings_residual_table_is_the_leaf_formula_with_a_fixed_call_count(monkeypatch):
+    # The tracer requires every solve's certification to make the same spans
+    # (`counts_repeat`); a residual path whose leaf calls depended on the
+    # iterates would make the benchmark run incorrect.
+    workload = import_bench("workloads").HalfspaceWorkload(gdsa, 1, "strings")
+    traces = [workload.solve(0), workload.solve(1)]
+    xs = traces[0].iterates
+    tables = [gdsa.distance_decay_diagnostic(trace, workload.sets).residuals for trace in traces]
+    for j, op in enumerate(workload.sets):
+        assert same_bits(tables[0][:, j], norm(old_halfspace(op, xs) - xs))
+    # the two solves leave different numbers of rows outside their sets
+    assert np.count_nonzero(tables[0]) != np.count_nonzero(tables[1])
+    leaf_apply = gdsa.HalfspaceProjection.__dict__["apply"]
+    calls = []
+
+    def counting(self, x):
+        calls.append(1)
+        return leaf_apply(self, x)
+
+    monkeypatch.setattr(gdsa.HalfspaceProjection, "apply", counting)
+    counts = []
+    for trace in traces:
+        calls.clear()
+        gdsa.distance_decay_diagnostic(trace, workload.sets)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

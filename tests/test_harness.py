@@ -1,17 +1,14 @@
 from __future__ import annotations
 
-import importlib
 import json
-import sys
 import time
 from fractions import Fraction
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import overlapping_ball_problem, simultaneous_schedule, two_ball_problem, two_interval_problem
+from conftest import import_bench, overlapping_ball_problem, simultaneous_schedule, two_ball_problem, two_interval_problem
 from gdsa import harness
 from gdsa.cli import main
 from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances, norm
@@ -378,6 +375,21 @@ class TestConfig:
         included = parse_config(doc, tmp_path).raw
         assert included["problem"] == CONFIG_DOC["problem"] and included["x0"] is not doc["x0"]
 
+    def test_include_inside_a_list_of_objects_resolves_and_number_lists_are_copied(self, tmp_path):
+        (tmp_path / "right.json").write_text(json.dumps(SETS[1]))
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["problem"]["sets"][1] = {"include": "right.json"}
+        doc["problem"]["sets"][0]["lo"] = [-3]  # an int is a number too
+        raw = parse_config(doc, tmp_path).raw
+        assert raw["problem"]["sets"] == [{**SETS[0], "lo": [-3]}, SETS[1]]
+        numbers = [
+            (raw["x0"], doc["x0"]),
+            (raw["problem"]["sets"][0]["lo"], doc["problem"]["sets"][0]["lo"]),
+            (raw["schedule"]["cycle"][0]["weights"], doc["schedule"]["cycle"][0]["weights"]),
+        ]
+        for got, given in numbers:
+            assert got == given and got is not given
+
     def test_json_nested_past_the_recursion_limit_raises_config_error(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -591,15 +603,6 @@ def synthetic_trace(rows: int, kind: str, dim: int = 4) -> IterationTrace:
         phi_values=np.abs(mixed_values(rng, rows)) if superiorized else None,
         perturb_budget_remaining=np.abs(mixed_values(rng, n)) if superiorized else None,
     )
-
-
-def import_bench(name: str):
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(bench))
 
 
 class TestTraceCsvBytes:

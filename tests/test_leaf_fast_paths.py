@@ -8,7 +8,9 @@ reference.  ``HyperplaneProjection`` has one formula for a vector and a stack,
 and is held to it too.  The hyperplane, the ball and the box must match them
 byte for byte.  The half-space returns a point already inside as the same
 array, so where x holds a -0.0 its result can differ from ``x - 0.0 * a`` in
-the sign of that zero, and only there; it must still be equal in value.
+the sign of that zero, and only there; it must still be equal in value.  Its
+stacked ``residual``, which skips the rows the set leaves fixed, must equal
+``norm(old_halfspace(op, xs) - xs)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import same_bits
-from gdsa.core import norm
+from gdsa.core import DimensionMismatchError, norm
 from gdsa.engine import RelaxationSchedule, StopRule, run
-from gdsa.operators import BallProjection, BoxProjection, HalfspaceProjection, HyperplaneProjection
+from gdsa.operators import BallProjection, BoxProjection, HalfspaceProjection, HyperplaneProjection, residual
 from gdsa.strings import ControlSchedule, StringPlan
 
 
@@ -160,6 +162,64 @@ def test_other_vectors_keep_the_stacked_formulas():
     x = np.array([1.0, 1.0], dtype=np.float32)
     out = op.apply(x)
     assert out.dtype == np.float64 and same_bits(out, old_halfspace(op, x))
+
+
+def old_residual(op, xs):
+    return norm(old_halfspace(op, xs) - xs)
+
+
+@given(data=st.data(), n=st.integers(2, 50), shape=st.sampled_from([(7,), (1,), (3, 4)]))
+@settings(max_examples=300, deadline=None)
+def test_halfspace_stack_residual(data, n, shape):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n)
+    aa = float(a @ a)
+    places = rng.choice(np.array(PLACES), size=shape)
+    ys = rng.standard_normal(shape + (n,))
+    # move each row along a until <a, x> - b is -u |a|^2 (inside), 0 or +u |a|^2
+    u = rng.uniform(0.1, 2.0, size=shape) * np.select([places == "inside", places == "outside"], [-1.0, 1.0], 0.0)
+    xs = ys - ((ys @ a) / aa - u)[..., None] * a
+    zeros = rng.random(xs.shape) < 0.1
+    xs[zeros] = np.where(rng.random(xs.shape) < 0.5, 0.0, -0.0)[zeros]
+    # b from the stack's own dots puts the first boundary row exactly on the boundary
+    on = np.flatnonzero(places.ravel() == "boundary")
+    b = float((xs @ a).ravel()[on[0]]) if on.size else rng.standard_normal()
+    op = HalfspaceProjection(a, b)
+    out = residual(op, xs)
+    assert same_bits(out, old_residual(op, xs))
+    if on.size:
+        assert out.ravel()[on[0]] == 0.0
+
+
+def test_halfspace_stack_residual_with_infinite_and_nan_rows():
+    op = HalfspaceProjection([1.0, 2.0, -1.0], 0.5)
+    inf, nan = np.inf, np.nan
+    xs = np.array([
+        [-inf, 0.0, 0.0],  # <a, x> = -inf: excess 0, and inf - inf makes the residual NaN
+        [0.0, 0.0, inf],  # -inf through a negative normal entry
+        [inf, 0.0, 0.0],  # excess +inf
+        [inf, -inf, 0.0],  # a NaN dot
+        [nan, 0.0, 0.0],
+        [0.0, 0.0, 0.0],  # inside
+        [1.0, 1.0, 0.0],  # outside
+    ])
+    with np.errstate(all="ignore"):
+        out, ref = residual(op, xs), old_residual(op, xs)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(residual(op, xs.reshape(7, 1, 3)), ref.reshape(7, 1))
+    assert np.isnan(out[:5]).all() and out[5] == 0.0 and out[6] > 0.0
+
+
+def test_halfspace_residual_keeps_its_checks_and_vector_float():
+    op = HalfspaceProjection([1.0, 2.0], 0.5)
+    with pytest.raises(DimensionMismatchError):
+        residual(op, np.zeros((4, 3)))
+    with pytest.raises(DimensionMismatchError):
+        residual(op, np.zeros(3))
+    for x in ([0.0, 0.0], [1.0, 1.0]):
+        r = residual(op, x)
+        assert type(r) is float and r == old_residual(op, np.array(x))
 
 
 def strings_plans(m: int):
