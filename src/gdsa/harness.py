@@ -332,8 +332,7 @@ def config_hash(doc: dict) -> str:
 def _resolve_includes(doc, base_dir: Path):
     """Replace {"include": "path"} nodes by the referenced JSON document.
 
-    Returns fresh dicts and lists, so the result never aliases ``doc``.  A
-    list of numbers alone is copied whole, not walked number by number.
+    Returns fresh dicts and lists, so the result never aliases ``doc``.
     """
     if isinstance(doc, dict):
         if set(doc.keys()) == {"include"}:
@@ -346,8 +345,6 @@ def _resolve_includes(doc, base_dir: Path):
             return _resolve_includes(included, target.parent)
         return {k: _resolve_includes(v, base_dir) for k, v in doc.items()}
     if isinstance(doc, list):
-        if set(map(type, doc)) <= {int, float}:
-            return list(doc)
         return [_resolve_includes(v, base_dir) for v in doc]
     return doc
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from gdsa import ControlSchedule, RelaxationSchedule, StopRule, simultaneous_plan
+from gdsa.core import norm
 from gdsa.harness import ProblemInstance
 from gdsa.operators import BallProjection, BoxProjection
 
@@ -125,6 +126,17 @@ def same_bits(u, v) -> bool:
     """Same shape, dtype and bytes: equal to the last bit, signed zeros and NaN payloads included."""
     u, v = np.asarray(u), np.asarray(v)
     return u.shape == v.shape and u.dtype == v.dtype and u.tobytes() == v.tobytes()
+
+
+def old_halfspace(op, x):
+    """The half-space projection's stacked formula before any fast path, kept unchanged as the reference."""
+    excess = np.maximum(0.0, x @ op.a - op.b)
+    return x - (excess / op._aa)[..., None] * op.a
+
+
+def old_residual(op, xs):
+    """The half-space's row residuals as ``residual`` computed them before it skipped the rows left fixed."""
+    return norm(old_halfspace(op, xs) - xs)
 
 
 def tree_sum(terms, x):

@@ -14,9 +14,7 @@ import pytest
 import gdsa
 import gdsa.cli
 import gdsa.superiorize
-from conftest import import_bench, same_bits
-from gdsa.core import norm
-from test_leaf_fast_paths import old_halfspace
+from conftest import import_bench, old_residual, same_bits
 
 WRAPPED = [
     (gdsa.HalfspaceProjection, "apply"),
@@ -129,7 +127,7 @@ def test_strings_residual_table_is_the_leaf_formula_with_a_fixed_call_count(monk
     xs = traces[0].iterates
     tables = [gdsa.distance_decay_diagnostic(trace, workload.sets).residuals for trace in traces]
     for j, op in enumerate(workload.sets):
-        assert same_bits(tables[0][:, j], norm(old_halfspace(op, xs) - xs))
+        assert same_bits(tables[0][:, j], old_residual(op, xs))
     # the two solves leave different numbers of rows outside their sets
     assert np.count_nonzero(tables[0]) != np.count_nonzero(tables[1])
     leaf_apply = gdsa.HalfspaceProjection.__dict__["apply"]

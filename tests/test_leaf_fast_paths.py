@@ -2,15 +2,16 @@
 
 ``HalfspaceProjection`` and ``BallProjection`` take a scalar path for one
 float64 vector, and ``BoxProjection`` calls ``ndarray.clip`` without
-``np.clip``'s wrapper.  The functions below are the formulas every input went
-through before those paths existed; they are kept here, unchanged, as the
-reference.  ``HyperplaneProjection`` has one formula for a vector and a stack,
-and is held to it too.  The hyperplane, the ball and the box must match them
-byte for byte.  The half-space returns a point already inside as the same
+``np.clip``'s wrapper.  The ``old_*`` functions are the formulas every input
+went through before those paths existed, kept unchanged as the reference; the
+half-space's, which ``tests/test_bench_contract.py`` reads too, are in
+``conftest.py``.  ``HyperplaneProjection`` has one formula for a vector and a
+stack, and is held to it too.  The hyperplane, the ball and the box must match
+them byte for byte.  The half-space returns a point already inside as the same
 array, so where x holds a -0.0 its result can differ from ``x - 0.0 * a`` in
 the sign of that zero, and only there; it must still be equal in value.  Its
 stacked ``residual``, which skips the rows the set leaves fixed, must equal
-``norm(old_halfspace(op, xs) - xs)`` byte for byte.
+``old_residual(op, xs)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import same_bits
+from conftest import old_halfspace, old_residual, same_bits
 from gdsa.core import DimensionMismatchError, norm
 from gdsa.engine import RelaxationSchedule, StopRule, run
 from gdsa.operators import BallProjection, BoxProjection, HalfspaceProjection, HyperplaneProjection, residual
 from gdsa.strings import ControlSchedule, StringPlan
-
-
-def old_halfspace(op, x):
-    excess = np.maximum(0.0, x @ op.a - op.b)
-    return x - (excess / op._aa)[..., None] * op.a
 
 
 def old_hyperplane(op, x):
@@ -162,10 +158,6 @@ def test_other_vectors_keep_the_stacked_formulas():
     x = np.array([1.0, 1.0], dtype=np.float32)
     out = op.apply(x)
     assert out.dtype == np.float64 and same_bits(out, old_halfspace(op, x))
-
-
-def old_residual(op, xs):
-    return norm(old_halfspace(op, xs) - xs)
 
 
 @given(data=st.data(), n=st.integers(2, 50), shape=st.sampled_from([(7,), (1,), (3, 4)]))
