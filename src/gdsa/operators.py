@@ -251,8 +251,22 @@ class _HalfspaceFamily:
     Equal bit for bit to the tree's ``w_0 T_0(x) + w_1 T_1(x) + ...``.  The m
     dots are one batched matmul (``core._row_dots``) that runs the leaves' own
     ``x @ a_i`` ddot per row, x first; a gemv ``A @ x`` is not used because it
-    rounds differently.  Every elementwise operation is the leaf's, and the
-    axis-0 reduce adds the rows in order starting from -0.0, the exact
+    rounds differently.
+
+    A row whose factor ``s_i = max(0, <a_i, x> - b_i) / <a_i, a_i>`` is zero,
+    a set the point satisfies, never reads the matrix: ``x - 0.0 * a_i`` is x
+    for a finite a_i and an x without a zero entry, the only points the
+    family takes, so the row is ``w_i * x``.  The other rows, a NaN factor
+    among them, are gathered and computed as ``w_i * (x - s_i * a_i)``, the
+    leaf's operations in its order.
+
+    Equal weights are stored as one Python float, since numpy multiplies by a
+    scalar several times faster than by an (m, 1) column: ``w * x`` is
+    computed once for the satisfied rows and the gathered rows are scaled by
+    it.  Unequal weights stay an (m, 1) column, applied to the whole buffer
+    in one pass.
+
+    The axis-0 reduce adds the rows in order starting from -0.0, the exact
     additive identity, so a sum of -0.0 terms stays -0.0.  numpy adds row by
     row only when the reduced axis is not the fast one in memory, so the
     family needs dimension >= 2; in R^1 it would sum pairwise.
@@ -262,17 +276,26 @@ class _HalfspaceFamily:
 
     def __init__(self, terms: tuple[tuple[float, HalfspaceProjection], ...]) -> None:
         leaves = [op for _, op in terms]
+        weights = [w for w, _ in terms]
         self.matrix = _frozen(np.stack([op.a for op in leaves]))
         self.b = _frozen(np.array([op.b for op in leaves]))
         self.aa = _frozen(np.array([op._aa for op in leaves]))
-        self.w = _frozen(np.array([[w] for w, _ in terms]))
+        self.w = weights[0] if len(set(weights)) == 1 else _frozen(np.array(weights)[:, None])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        dots = _row_dots(x, self.matrix)
-        scale = np.maximum(0.0, dots - self.b) / self.aa
-        t = scale[:, None] * self.matrix
-        np.subtract(x, t, out=t)
-        np.multiply(self.w, t, out=t)
+        scale = np.maximum(0.0, _row_dots(x, self.matrix) - self.b) / self.aa
+        moved = scale != 0.0  # a NaN factor counts as violated
+        r = self.matrix[moved]
+        np.multiply(scale[moved][:, None], r, out=r)
+        np.subtract(x, r, out=r)
+        t = np.empty(self.matrix.shape)
+        if isinstance(self.w, float):
+            t[~moved] = self.w * x
+            t[moved] = np.multiply(self.w, r, out=r)
+        else:
+            t[~moved] = x
+            t[moved] = r
+            np.multiply(self.w, t, out=t)
         return np.add.reduce(t, axis=0, initial=-0.0)
 
 
@@ -284,8 +307,10 @@ class ConvexCombination(Operator):
     without a zero coordinate through a stacked kernel (``_HalfspaceFamily``)
     equal to the sum below bit for bit: its dots are one batched matmul of
     per-row ddots, the leaves' own rounding (a gemv would round differently),
-    and its sum adds the terms in order.  Stacks of vectors, vectors with a
-    zero coordinate and every other mix of terms use the sum.
+    a term whose set holds x is ``w_i * x`` without reading its normal
+    (``x - 0.0 * a_i`` is x when x has no zero entry), equal weights are one
+    float, and its sum adds the terms in order.  Stacks of vectors, vectors
+    with a zero coordinate and every other mix of terms use the sum.
     """
 
     terms: tuple[tuple[float, Operator], ...]

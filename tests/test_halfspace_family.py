@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import same_bits, tree_sum
+from conftest import import_bench, same_bits, tree_sum
 from gdsa.engine import RelaxationSchedule, StopRule, run
 from gdsa.operators import (
     BallProjection,
@@ -25,23 +25,25 @@ from gdsa.operators import (
 from gdsa.strings import ControlSchedule, simultaneous_plan
 
 
-def random_family(m: int, n: int, seed: int):
-    """Halfspaces a_i.x <= b_i through a common interior point z, random weights."""
+def random_family(m: int, n: int, seed: int, equal: bool = False):
+    """Halfspaces a_i.x <= b_i through a common interior point z, random or equal weights."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     z = rng.standard_normal(n)
     b = a @ z + rng.uniform(0.0, 1.0, m)
-    w = rng.uniform(0.1, 1.0, m)
+    w = np.ones(m) if equal else rng.uniform(0.1, 1.0, m)
     terms = tuple(zip((w / w.sum()).tolist(), (HalfspaceProjection(a[i], b[i]) for i in range(m))))
     return terms, z, rng
 
 
-@given(m=st.integers(2, 30), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+@given(m=st.integers(2, 30), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1), equal=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_stacked_kernel_matches_tree_bitwise(m, n, seed):
-    terms, z, rng = random_family(m, n, seed)
+def test_stacked_kernel_matches_tree_bitwise(m, n, seed, equal):
+    terms, z, rng = random_family(m, n, seed, equal)
     op = ConvexCombination(terms)
     assert (op._halfspaces is not None) == (n > 1)  # R^1 keeps the tree path
+    if n > 1:  # equal weights are one float, unequal ones an (m, 1) column
+        assert isinstance(op._halfspaces.w, float) == equal
     outside = z + 3.0 * rng.standard_normal(n)
     # on the boundary of halfspace j: a_j.x - b_j is exactly 0
     j = int(rng.integers(m))
@@ -49,6 +51,8 @@ def test_stacked_kernel_matches_tree_bitwise(m, n, seed):
     on_boundary = ConvexCombination(
         terms[:j] + ((terms[j][0], HalfspaceProjection(leaf.a, float(outside @ leaf.a))),) + terms[j + 1:]
     )
+    # every halfspace violated at `outside`, by about 1.0
+    all_violated = ConvexCombination(tuple((w, HalfspaceProjection(t.a, float(outside @ t.a) - 1.0)) for w, t in terms))
     # inside every halfspace with x_c = -0.0 and a negative normal entry in
     # column c: the leaves keep -0.0 there, while x - 0.0 * a would give +0.0
     signed_zero = z.copy()
@@ -60,9 +64,17 @@ def test_stacked_kernel_matches_tree_bitwise(m, n, seed):
         (w, HalfspaceProjection(a_j if i == j else t.a, float(signed_zero @ (a_j if i == j else t.a)) + 1.0))
         for i, (w, t) in enumerate(terms)
     )
-    for family, x in ((op, z), (op, outside), (on_boundary, outside), (ConvexCombination(zero_terms), signed_zero)):
-        assert same_bits(family.apply(x), tree_sum(family.terms, x))
-        assert same_bits(apply(family, x), tree_sum(family.terms, x))
+    # a NaN entry makes every factor NaN; an infinite entry makes a row's
+    # dot +-inf (violated or satisfied) or NaN
+    nan_point, inf_point = outside.copy(), outside.copy()
+    nan_point[c] = np.nan
+    inf_point[c] = np.inf if rng.random() < 0.5 else -np.inf
+    cases = [(op, z), (op, outside), (on_boundary, outside), (all_violated, outside),
+             (ConvexCombination(zero_terms), signed_zero), (op, nan_point), (op, inf_point)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for family, x in cases:
+            assert same_bits(family.apply(x), tree_sum(family.terms, x))
+            assert same_bits(apply(family, x), tree_sum(family.terms, x))
 
 
 def test_negative_zero_coordinate_kept():
@@ -114,6 +126,28 @@ def test_simultaneous_run_matches_leaf_loop(lam):
     for _ in range(steps):
         tx = tree_sum(terms, x)
         x = tx if lam == 1.0 else x + lam * (tx - x)
+        expected.append(x)
+    assert trace.iterations == steps
+    assert same_bits(trace.iterates, np.array(expected))
+
+
+def test_benchmark_system_matches_leaf_loop():
+    # the benchmark's cimmino system at seed 1: equal weights, lam = 1, every
+    # step byte-equal to the tree (the benchmark itself checks rel 1e-9)
+    workloads = import_bench("workloads")
+    a, b, z = workloads.halfspace_system(1)
+    m, steps = workloads.M, workloads.STEPS
+    leaves = tuple(HalfspaceProjection(a[i], b[i]) for i in range(m))
+    terms = tuple(zip((1.0 / m,) * m, leaves))
+    schedule = ControlSchedule(operators=leaves, cycle=(simultaneous_plan(m),))
+    assert isinstance(schedule.operator_for(schedule.cycle[0])._halfspaces.w, float)
+    x0 = workloads.start_point(1, 0, z)
+    trace = run(schedule, RelaxationSchedule(epsilon=workloads.EPSILON, constant=1.0), x0,
+                stop=StopRule(step_tol=1e-300, window=steps, max_iters=steps))
+    x = x0
+    expected = [x]
+    for _ in range(steps):
+        x = tree_sum(terms, x)
         expected.append(x)
     assert trace.iterations == steps
     assert same_bits(trace.iterates, np.array(expected))
