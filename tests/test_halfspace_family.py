@@ -111,43 +111,42 @@ def test_other_combinations_take_the_tree_path(terms):
     assert same_bits(apply(op, x), tree_sum(terms, x))
 
 
-@pytest.mark.parametrize("lam", [1.0, 1.5])
-def test_simultaneous_run_matches_leaf_loop(lam):
+def random_system():
+    """20 random halfspaces in R^50 with unequal weights, a start point outside, 40 steps."""
     terms, z, rng = random_family(20, 50, seed=9)
+    return terms, z + 5.0 * rng.standard_normal(50), 40, 0.05
+
+
+def benchmark_system():
+    """The benchmark's cimmino system at seed 1: equal weights, its start point, all its steps."""
+    workloads = import_bench("workloads")
+    a, b, z = workloads.halfspace_system(1)
+    m = workloads.M
+    terms = tuple(zip((1.0 / m,) * m, (HalfspaceProjection(a[i], b[i]) for i in range(m))))
+    return terms, workloads.start_point(1, 0, z), workloads.STEPS, workloads.EPSILON
+
+
+@pytest.mark.parametrize(
+    "system, lam",
+    [(random_system, 1.0), (random_system, 1.5), (benchmark_system, 1.0)],
+    ids=["1.0", "1.5", "benchmark"],
+)
+def test_simultaneous_run_matches_leaf_loop(system, lam):
+    # every iterate byte-equal to the tree; the benchmark checks its own
+    # cimmino solve only to rel 1e-9
+    terms, x0, steps, epsilon = system()
     leaves = tuple(op for _, op in terms)
     weights = tuple(w for w, _ in terms)
-    schedule = ControlSchedule(operators=leaves, cycle=(simultaneous_plan(20, weights),))
-    steps = 40
-    trace = run(schedule, RelaxationSchedule(epsilon=0.05, constant=lam),
-                z + 5.0 * rng.standard_normal(50), stop=StopRule(step_tol=1e-300, window=steps, max_iters=steps))
-    assert schedule.operator_for(schedule.cycle[0])._halfspaces is not None
+    schedule = ControlSchedule(operators=leaves, cycle=(simultaneous_plan(len(leaves), weights),))
+    trace = run(schedule, RelaxationSchedule(epsilon=epsilon, constant=lam), x0,
+                stop=StopRule(step_tol=1e-300, window=steps, max_iters=steps))
+    family = schedule.operator_for(schedule.cycle[0])._halfspaces
+    assert isinstance(family.w, float) == (len(set(weights)) == 1)
     x = trace.iterates[0].copy()
     expected = [x]
     for _ in range(steps):
         tx = tree_sum(terms, x)
         x = tx if lam == 1.0 else x + lam * (tx - x)
-        expected.append(x)
-    assert trace.iterations == steps
-    assert same_bits(trace.iterates, np.array(expected))
-
-
-def test_benchmark_system_matches_leaf_loop():
-    # the benchmark's cimmino system at seed 1: equal weights, lam = 1, every
-    # step byte-equal to the tree (the benchmark itself checks rel 1e-9)
-    workloads = import_bench("workloads")
-    a, b, z = workloads.halfspace_system(1)
-    m, steps = workloads.M, workloads.STEPS
-    leaves = tuple(HalfspaceProjection(a[i], b[i]) for i in range(m))
-    terms = tuple(zip((1.0 / m,) * m, leaves))
-    schedule = ControlSchedule(operators=leaves, cycle=(simultaneous_plan(m),))
-    assert isinstance(schedule.operator_for(schedule.cycle[0])._halfspaces.w, float)
-    x0 = workloads.start_point(1, 0, z)
-    trace = run(schedule, RelaxationSchedule(epsilon=workloads.EPSILON, constant=1.0), x0,
-                stop=StopRule(step_tol=1e-300, window=steps, max_iters=steps))
-    x = x0
-    expected = [x]
-    for _ in range(steps):
-        x = tree_sum(terms, x)
         expected.append(x)
     assert trace.iterations == steps
     assert same_bits(trace.iterates, np.array(expected))
