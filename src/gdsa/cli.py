@@ -8,8 +8,11 @@ Subcommands:
 * ``sweep <config.json> --param a.b.c --values v1,v2``  grid over one config field
 * ``oracle <config.json>``  emit target-set witnesses and constrained minimizers
 
-Exit codes: 0 success; 1 verification failure, a non-finite iterate or
-objective, or an oracle that cannot converge; 2 malformed configuration.
+Exit codes: 0 success; 1 a verification failure, a non-finite iterate or
+objective, or an oracle out of budget; 2 a malformed configuration, a
+``run`` whose relaxation leaves its range, or a flag the subcommand does not
+read.
+``tests/test_exit_codes.py`` holds the contract: one row per case.
 """
 
 from __future__ import annotations
@@ -304,10 +307,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    # this clause must come first: NonFiniteObjectiveError is a ValueError too
     except (NonFiniteIterateError, NonFiniteObjectiveError, OracleIterationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, RelaxationRangeError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and RelaxationRangeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

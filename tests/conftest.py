@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -110,6 +111,46 @@ def unit_relax() -> RelaxationSchedule:
 @pytest.fixture
 def default_stop() -> StopRule:
     return StopRule(step_tol=1e-8, window=10, max_iters=10_000)
+
+
+# The config of the README's schema section (two intervals in R^1), and a box
+# and a half-space in R^2.
+CONFIG_DOC = {
+    "problem": {
+        "dim": 1,
+        "sets": [
+            {"kind": "box", "lo": [-3.0], "hi": [-1.0]},
+            {"kind": "box", "lo": [1.0], "hi": [3.0]},
+        ],
+    },
+    "schedule": {"cycle": [{"strings": [[1], [2]], "weights": [0.5, 0.5]}]},
+    "relaxation": {"epsilon": 0.05, "constant": 1.0},
+    "seed": 17,
+    "x0": [7.3],
+    "stop": {"step_tol": 1e-8, "window": 10, "max_iters": 10000},
+}
+SETS = CONFIG_DOC["problem"]["sets"]
+R2_DOC = {
+    "problem": {"dim": 2, "sets": [
+        {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        {"kind": "halfspace", "a": [1.0, 1.0], "b": 0.5},
+    ]},
+    "schedule": {"cycle": [{"strings": [[1], [2]], "weights": [0.5, 0.5]}]},
+    "relaxation": {"epsilon": 0.05, "constant": 1.0},
+    "seed": 3,
+    "x0": [4.0, -2.5],
+}
+
+
+def with_key(doc: dict, key: str, value) -> dict:
+    """A copy of ``doc`` with the dotted ``key`` set to ``value``; a list index is a number."""
+    doc = json.loads(json.dumps(doc))
+    *path, last = key.split(".")
+    node = doc
+    for part in path:
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
 
 
 def import_bench(name: str):

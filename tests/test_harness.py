@@ -8,7 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import import_bench, overlapping_ball_problem, simultaneous_schedule, two_ball_problem, two_interval_problem
+from conftest import (
+    CONFIG_DOC,
+    R2_DOC,
+    SETS,
+    import_bench,
+    overlapping_ball_problem,
+    simultaneous_schedule,
+    two_ball_problem,
+    two_interval_problem,
+    with_key,
+)
 from gdsa import harness
 from gdsa.cli import main
 from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances, norm
@@ -41,6 +51,7 @@ from gdsa.operators import (
 )
 from gdsa.strings import ControlSchedule, StringPlan, signature_str, simultaneous_plan
 from gdsa.superiorize import L1Norm, SuperiorizationSchedule, superiorized_run
+from test_exit_codes import legacy_tests
 
 
 class TestProximity:
@@ -189,76 +200,6 @@ class TestFixedPointOracle:
 def test_mixed_dimensions_raise_one_error_type(build):
     with pytest.raises(DimensionMismatchError):
         build(Identity(1), Identity(2))
-
-
-CONFIG_DOC = {
-    "problem": {
-        "dim": 1,
-        "sets": [
-            {"kind": "box", "lo": [-3.0], "hi": [-1.0]},
-            {"kind": "box", "lo": [1.0], "hi": [3.0]},
-        ],
-    },
-    "schedule": {"cycle": [{"strings": [[1], [2]], "weights": [0.5, 0.5]}]},
-    "relaxation": {"epsilon": 0.05, "constant": 1.0},
-    "seed": 17,
-    "x0": [7.3],
-    "stop": {"step_tol": 1e-8, "window": 10, "max_iters": 10000},
-}
-SETS = CONFIG_DOC["problem"]["sets"]
-
-
-def with_key(doc: dict, key: str, value) -> dict:
-    """A copy of ``doc`` with the dotted ``key`` set to ``value``; a list index is a number."""
-    doc = json.loads(json.dumps(doc))
-    *path, last = key.split(".")
-    node = doc
-    for part in path:
-        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
-    node[last] = value
-    return doc
-
-
-# Every place the config reads a float, or an entry of a number array: the
-# dotted key, a valid value, and how the value sits under the key.
-NUMBER_SLOTS = {
-    "step_tol": ("stop.step_tol", 1e-8, lambda v: v),
-    "relaxation_epsilon": ("relaxation", 0.05, lambda v: {"epsilon": v, "constant": 1.0}),
-    "relaxation_constant": ("relaxation", 1.0, lambda v: {"constant": v}),
-    "relaxation_base": ("relaxation", 1.0, lambda v: {"base": v}),
-    "relaxation_slope": ("relaxation", 0.0, lambda v: {"base": 1.0, "slope": v}),
-    "relaxation_cycle": ("relaxation", 0.5, lambda v: {"cycle": [1.0, v]}),
-    "eq_tol": ("tolerances.eq_tol", 1e-10, lambda v: v),
-    "conv_tol": ("tolerances.conv_tol", 1e-8, lambda v: v),
-    "slack_tol": ("tolerances.slack_tol", 1e-12, lambda v: v),
-    "subgrad_zero_tol": ("tolerances.subgrad_zero_tol", 1e-12, lambda v: v),
-    "perturbation_beta0": ("perturbation", 0.5, lambda v: {"beta0": v}),
-    "perturbation_decay": ("perturbation", 0.9, lambda v: {"decay": v}),
-    "perturbation_directions": ("perturbation", 1.0, lambda v: {"directions": [[v]]}),
-    "superiorization_beta0": ("superiorization", 0.5, lambda v: {"objective": {"kind": "l1"}, "beta0": v}),
-    "superiorization_decay": ("superiorization", 0.9, lambda v: {"objective": {"kind": "l1"}, "decay": v}),
-    "objective_weight": (
-        "superiorization", 1.0, lambda v: {"objective": {"kind": "wsqnorm", "center": [0.0], "weight": v}}),
-    "objective_center": ("superiorization", 0.0, lambda v: {"objective": {"kind": "wsqnorm", "center": [v]}}),
-    "piece_b": (
-        "superiorization", 0.0, lambda v: {"objective": {"kind": "max_affine", "pieces": [{"a": [1.0], "b": v}]}}),
-    "piece_a": (
-        "superiorization", 1.0, lambda v: {"objective": {"kind": "max_affine", "pieces": [{"a": [v], "b": 0.0}]}}),
-    # an extra set, outside every plan
-    "halfspace_b": ("problem.sets", 0.0, lambda v: [*SETS, {"kind": "halfspace", "a": [1.0], "b": v}]),
-    "halfspace_a": ("problem.sets", 1.0, lambda v: [*SETS, {"kind": "halfspace", "a": [v], "b": 0.0}]),
-    "hyperplane_b": ("problem.sets", 0.0, lambda v: [*SETS, {"kind": "hyperplane", "a": [1.0], "b": v}]),
-    "ball_radius": ("problem.sets", 1.0, lambda v: [*SETS, {"kind": "ball", "center": [0.0], "radius": v}]),
-    "ball_center": ("problem.sets", 0.0, lambda v: [*SETS, {"kind": "ball", "center": [v], "radius": 1.0}]),
-    "box_lo": ("problem.sets", -1.0, lambda v: [*SETS, {"kind": "box", "lo": [v], "hi": [1.0]}]),
-    "box_hi": ("problem.sets", 1.0, lambda v: [*SETS, {"kind": "box", "lo": [-1.0], "hi": [v]}]),
-    "lam": ("problem.sets", 0.5, lambda v: [*SETS, {"kind": "relaxation", "inner": SETS[0], "lam": v}]),
-    "alpha": ("problem.sets", 1.0, lambda v: [*SETS, {**SETS[0], "alpha": v}]),
-    "term_weight": (
-        "problem.sets", 1.0, lambda v: [*SETS, {"kind": "combination", "terms": [{"weight": v, "op": SETS[0]}]}]),
-    "plan_weight": ("schedule.cycle", 1.0, lambda v: [{"strings": [[1, 2]], "weights": [v]}]),
-    "x0": ("x0", 7.3, lambda v: [v]),
-}
 
 
 class TestConfig:
@@ -507,6 +448,13 @@ class TestConfig:
         assert relax == expected
         assert all(type(getattr(relax, f)) in (float, type(None)) for f in ("constant", "base", "slope"))
 
+    def test_directions_and_schedule_operators_of_the_problem_dimension_parse(self):
+        # test_exit_codes.py refuses one of another dimension under each subcommand
+        config = parse_config(with_key(R2_DOC, "perturbation.directions", [[1.0, 0.0], [0.0, -1.0]]))
+        assert config.schedule.dim == 2 and len(config.perturb.directions) == 2
+        with pytest.raises(ConfigError, match="direction dimension 3 differs"):
+            parse_config(with_key(R2_DOC, "perturbation.directions", [[1.0, 0.0, 0.0]]))
+
     def test_config_hash_is_stable(self):
         c1 = parse_config(json.loads(json.dumps(CONFIG_DOC)))
         c2 = parse_config(json.loads(json.dumps(CONFIG_DOC)))
@@ -732,27 +680,7 @@ def config_file(tmp_path):
 
 
 class TestCli:
-    def test_run_writes_outputs(self, config_file, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", str(config_file), "--out", str(out), "--quiet"]) == 0
-        assert (out / "trace.csv").exists() and (out / "summary.json").exists()
-
-    def test_run_is_byte_deterministic(self, config_file, tmp_path):
-        main(["run", str(config_file), "--out", str(tmp_path / "o1"), "--quiet"])
-        main(["run", str(config_file), "--out", str(tmp_path / "o2"), "--quiet"])
-        assert (tmp_path / "o1" / "trace.csv").read_bytes() == (tmp_path / "o2" / "trace.csv").read_bytes()
-
-    PERTURBED_2D = {
-        "problem": {"dim": 2, "sets": [
-            {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
-            {"kind": "halfspace", "a": [1.0, 1.0], "b": 0.5},
-        ]},
-        "schedule": {"cycle": [{"strings": [[1], [2]], "weights": [0.5, 0.5]}]},
-        "relaxation": {"epsilon": 0.05, "constant": 1.0},
-        "perturbation": {"beta0": 0.5, "decay": 0.9},
-        "seed": 3,
-        "x0": [4.0, -2.5],
-    }
+    PERTURBED_2D = {**R2_DOC, "perturbation": {"beta0": 0.5, "decay": 0.9}}
 
     @pytest.mark.parametrize(
         "base, flags, stated",
@@ -786,79 +714,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "cutter" in out
 
-    def test_out_of_range_lambda_exits_2(self, config_file, tmp_path):
-        doc = json.loads(config_file.read_text())
-        doc["relaxation"]["constant"] = 2.0  # equals 1 + rho, outside the closed-minus-eps range
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["run", str(bad), "--quiet"]) == 2
-
-    def test_malformed_config_exits_2(self, tmp_path):
-        bad = tmp_path / "malformed.json"
-        bad.write_text("{not json")
-        assert main(["run", str(bad), "--quiet"]) == 2
-        missing = tmp_path / "missing.json"
-        missing.write_text(json.dumps({"problem": CONFIG_DOC["problem"]}))
-        assert main(["run", str(missing), "--quiet"]) == 2
-
-    def test_nan_plan_weights_exit_2(self, config_file, tmp_path, capsys):
-        doc = json.loads(config_file.read_text())
-        doc["schedule"]["cycle"][0]["weights"] = [float("nan"), float("nan")]
-        bad = tmp_path / "nan_weights.json"
-        bad.write_text(json.dumps(doc))  # written as the JSON extension NaN
-        assert main(["run", str(bad), "--quiet"]) == 2
-        assert "finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["run", "verify"])
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("stop.step_tol", float("nan")),
-            ("stop.max_iters", float("inf")),
-            ("tolerances.conv_tol", float("inf")),
-            ("relaxation.constant", float("nan")),
-            ("perturbation", {"beta0": float("nan")}),
-            ("superiorization", {"objective": {"kind": "l1"}, "beta0": float("nan")}),
-            ("superiorization", {"objective": {"kind": "wsqnorm", "center": [0.0], "weight": float("inf")}}),
-            ("superiorization", {"objective": {"kind": "max_affine", "pieces": [{"a": [1.0], "b": float("nan")}]}}),
-            # an extra set, outside every plan
-            ("problem.sets", [*SETS, {"kind": "halfspace", "a": [1.0], "b": float("nan")}]),
-            ("problem.sets", [*SETS, {"kind": "hyperplane", "a": [1.0], "b": float("inf")}]),
-            ("problem.sets", [*SETS, {"kind": "ball", "center": [0.0], "radius": float("inf")}]),
-        ],
-        ids=[
-            "step_tol", "max_iters", "conv_tol", "lam", "perturbation_beta0", "superiorization_beta0",
-            "wsqnorm_weight", "max_affine_offset", "halfspace_b", "hyperplane_b", "ball_radius",
-        ],
-    )
-    def test_non_finite_number_exits_2(self, config_file, tmp_path, command, key, value, capsys):
-        doc = json.loads(config_file.read_text())
-        *path, last = key.split(".")
-        node = doc
-        for part in path:
-            node = node.setdefault(part, {})
-        node[last] = value
-        bad = tmp_path / "non_finite.json"
-        bad.write_text(json.dumps(doc))  # written as the JSON extensions NaN and Infinity
-        assert main([command, str(bad), "--quiet"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_non_finite_objective_exits_1(self, tmp_path, capsys):
-        # a valid config whose objective overflows at x0: a failed run, not a malformed config
-        doc = {
-            "problem": {"dim": 2, "sets": [{"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}]},
-            "schedule": {"cycle": [{"strings": [[1]], "weights": [1.0]}]},
-            "relaxation": {"epsilon": 0.05, "constant": 1.0},
-            "superiorization": {"objective": {"kind": "wsqnorm", "center": [0.0, 0.0], "weight": 1e300}},
-            "x0": [1e10, 1e10],
-        }
-        path = tmp_path / "overflow.json"
-        path.write_text(json.dumps(doc))
-        parse_config(doc)  # the config itself is well formed
-        with np.errstate(over="ignore"):
-            assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
-        assert "non-finite" in capsys.readouterr().err
-
     def test_oracle_emits_feasible_point_for_consistent_problem(self, tmp_path, capsys):
         doc = {
             "problem": {
@@ -887,40 +742,10 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert abs(out["constrained_min"][0]) <= 1e-6
 
-    def test_oracle_on_a_reflection_exits_1_at_once(self, tmp_path, capsys):
-        doc = {
-            "problem": {
-                "dim": 1,
-                "sets": [
-                    {"kind": "relaxation", "lam": 2.0, "inner": {"kind": "hyperplane", "a": [1.0], "b": 0.0}}
-                ],
-            },
-            "schedule": {"cycle": [{"strings": [[1]], "weights": [1.0]}]},
-            "relaxation": {"epsilon": 0.05, "constant": 0.9},
-            "x0": [1.0],
-        }
-        path = tmp_path / "reflection.json"
-        path.write_text(json.dumps(doc))
-        start = time.perf_counter()
-        assert main(["oracle", str(path)]) == 1
-        assert time.perf_counter() - start < 1.0
-        assert "alpha" in capsys.readouterr().err
-
     def test_sweep_runs_each_value(self, config_file, capsys):
         assert main(["sweep", str(config_file), "--param", "relaxation.constant", "--values", "0.5,1.0,1.5"]) == 0
         out = capsys.readouterr().out
         assert out.count("\n") >= 4
-
-    def test_sweep_bad_path_exits_2(self, config_file):
-        assert main(["sweep", str(config_file), "--param", "no.such.key", "--values", "1"]) == 2
-
-    def test_sweep_path_through_a_non_object_exits_2(self, config_file, capsys):
-        assert main(["sweep", str(config_file), "--param", "seed.value", "--values", "1"]) == 2
-        assert "sweep path 'seed.value' not found" in capsys.readouterr().err
-
-    def test_sweep_bare_word_reaches_the_parser_as_a_string(self, config_file, capsys):
-        assert main(["sweep", str(config_file), "--param", "relaxation.constant", "--values", "fast"]) == 2
-        assert "expected a number, got 'fast'" in capsys.readouterr().err
 
     def test_sweep_out_writes_each_run_and_prints_the_same_table(self, config_file, tmp_path, capsys):
         argv = ["sweep", str(config_file), "--param", "relaxation.constant", "--values", "0.5,1.0"]
@@ -954,158 +779,6 @@ class TestCli:
         assert abs(out["proximity_argmin"][0]) <= 1e-6
         assert out["proximity_min_value"] == pytest.approx(0.5)
 
-    def test_max_affine_objective_of_another_dimension_exits_2(self, config_file, tmp_path, capsys):
-        doc = json.loads(config_file.read_text())
-        doc["superiorization"] = {"objective": {"kind": "max_affine", "pieces": [{"a": [1.0, 0.0], "b": 0.0}]}}
-        path = tmp_path / "max_affine.json"
-        path.write_text(json.dumps(doc))
-        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-        assert "objective dimension 2 differs from problem dimension 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["run", "verify"])
-    @pytest.mark.parametrize(
-        "bad_set",
-        [
-            {"kind": "box", "lo": [-3.0], "hi": [-1.0], "alpha": float("nan")},
-            {"kind": "box", "lo": [-3.0], "hi": [-1.0], "alpha": 0.0},
-            {"kind": "box", "lo": [-3.0], "hi": [-1.0], "alpha": 2.5},
-            {
-                "kind": "relaxation",
-                "lam": 1.5,
-                "inner": {"kind": "relaxation", "lam": 1.5, "inner": {"kind": "box", "lo": [-3.0], "hi": [-1.0]}},
-            },
-        ],
-        ids=["alpha_nan", "alpha_0", "alpha_2.5", "nested_past_2"],
-    )
-    def test_bad_alpha_outside_the_schedule_operators_exits_2(self, tmp_path, command, bad_set, capsys):
-        # no run reaches the third set: schedule.operators names the two boxes
-        doc = json.loads(json.dumps(CONFIG_DOC))
-        doc["problem"]["sets"] = [*SETS, bad_set]
-        doc["schedule"]["operators"] = SETS
-        path = tmp_path / "bad_alpha.json"
-        path.write_text(json.dumps(doc))  # NaN is written as the JSON extension NaN
-        assert main([command, str(path), "--quiet"]) == 2
-        assert "alpha" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["run", "verify"])
-    def test_include_cycle_exits_2(self, tmp_path, command, capsys):
-        (tmp_path / "b.json").write_text(json.dumps({"dim": 1, "sets": [{"include": "b.json"}]}))
-        doc = json.loads(json.dumps(CONFIG_DOC))
-        doc["problem"] = {"include": "b.json"}
-        path = tmp_path / "a.json"
-        path.write_text(json.dumps(doc))
-        assert main([command, str(path), "--quiet"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["oracle", "--seed", "1"],
-            ["oracle", "--out", "d"],
-            ["oracle", "--max-iters", "10"],
-            ["oracle", "--quiet"],
-            ["verify", "--out", "d"],
-        ],
-        ids=["oracle_seed", "oracle_out", "oracle_max_iters", "oracle_quiet", "verify_out"],
-    )
-    def test_a_flag_the_subcommand_does_not_read_is_refused(self, config_file, argv, capsys):
-        command, *flags = argv
-        with pytest.raises(SystemExit) as exc:
-            main([command, str(config_file), *flags])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_verify_fails_on_false_alpha_declaration(self, tmp_path, capsys):
-        # a reflection wrongly declared firmly nonexpansive must be caught
-        doc = json.loads(json.dumps(CONFIG_DOC))
-        doc["schedule"]["operators"] = [
-            {
-                "kind": "relaxation",
-                "lam": 2.0,
-                "inner": {"kind": "box", "lo": [-3.0], "hi": [-1.0]},
-                "alpha": 1.0,
-            },
-            {"kind": "box", "lo": [1.0], "hi": [3.0]},
-        ]
-        doc["relaxation"]["constant"] = 0.9  # keep the schedule in range for rho=1
-        path = tmp_path / "lying.json"
-        path.write_text(json.dumps(doc))
-        assert main(["verify", str(path)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_verify_fails_on_inadmissible_schedule(self, tmp_path, capsys):
-        doc = json.loads(json.dumps(CONFIG_DOC))
-        doc["schedule"]["preamble"] = [{"strings": [[1, 2]], "weights": [1.0]}]
-        path = tmp_path / "inadmissible.json"
-        path.write_text(json.dumps(doc))
-        assert main(["verify", str(path)]) == 1
-        assert "limsup-admissible" in capsys.readouterr().out
-
-    def test_verify_reports_a_set_that_is_not_idempotent(self, tmp_path, capsys):
-        # a half-relaxed projection is a valid operator, but its images are not fixed points
-        doc = json.loads(json.dumps(CONFIG_DOC))
-        doc["problem"]["sets"][0] = {
-            "kind": "relaxation",
-            "lam": 0.5,
-            "inner": {"kind": "box", "lo": [-3.0], "hi": [-1.0]},
-        }
-        path = tmp_path / "relaxed_set.json"
-        path.write_text(json.dumps(doc))
-        assert main(["verify", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] set 1: cutter  witness point is not fixed" in out
-        assert "[ok  ] set 2: cutter" in out and "fejer monitor" in out
-
-    @pytest.mark.parametrize("command", ["run", "verify"])
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("schedule.cycle.0.strings", [[1.7], [2.2]]),
-            ("problem.dim", 1.5),
-            ("problem.sets", [*SETS, {"kind": "identity", "dim": 1.5}]),
-            ("seed", 3.9),
-            ("perturbation", {"seed": 3.9}),
-            ("stop.window", 2.5),
-            ("stop.max_iters", 100.9),
-            ("superiorization", {"objective": {"kind": "l1"}, "steps": 1.5}),
-            # a JSON boolean or a numeric string is no integer either
-            ("schedule.cycle.0.strings", [[True], [2]]),
-            ("schedule.cycle.0.strings", [["1"], [2]]),
-            ("problem.dim", True),
-            ("problem.dim", "1"),
-            ("problem.sets", [*SETS, {"kind": "identity", "dim": True}]),
-            ("problem.sets", [*SETS, {"kind": "identity", "dim": "1"}]),
-            ("seed", True),
-            ("seed", "1"),
-            ("perturbation", {"seed": True}),
-            ("perturbation", {"seed": "1"}),
-            ("stop.window", True),
-            ("stop.window", "2"),
-            ("stop.max_iters", True),
-            ("stop.max_iters", "5"),
-            ("superiorization", {"objective": {"kind": "l1"}, "steps": True}),
-            ("superiorization", {"objective": {"kind": "l1"}, "steps": "1"}),
-        ],
-        ids=["string_index", "problem_dim", "identity_dim", "seed", "perturbation_seed", "window",
-             "max_iters", "superiorization_steps",
-             "string_index_true", "string_index_string", "problem_dim_true", "problem_dim_string",
-             "identity_dim_true", "identity_dim_string", "seed_true", "seed_string",
-             "perturbation_seed_true", "perturbation_seed_string", "window_true", "window_string",
-             "max_iters_true", "max_iters_string", "superiorization_steps_true", "superiorization_steps_string"],
-    )
-    def test_fractional_integer_exits_2(self, config_file, tmp_path, command, key, value, capsys):
-        doc = json.loads(config_file.read_text())
-        *path, last = key.split(".")
-        node = doc
-        for part in path:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        node[last] = value
-        bad = tmp_path / "fractional.json"
-        bad.write_text(json.dumps(doc))
-        out = ["--out", str(tmp_path / "out")] if command == "run" else []
-        assert main([command, str(bad), "--quiet", *out]) == 2
-        assert "error: expected an integer, got " in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "extra",
         [{"consistent": True, "known_points": [[5.0]]}, {"consistent": "no", "known_points": [[0.0]]}],
@@ -1134,33 +807,6 @@ class TestCli:
         assert (config.seed, config.stop.window, config.stop.max_iters) == (3, 2, 100000)
         assert type(config.stop.max_iters) is int
 
-    @pytest.mark.parametrize("slot", NUMBER_SLOTS.values(), ids=NUMBER_SLOTS.keys())
-    def test_a_string_or_boolean_number_exits_2(self, tmp_path, slot, capsys):
-        key, good, place = slot
-        parse_config(with_key(CONFIG_DOC, key, place(good)))  # the slot holds a valid value
-        for value in (repr(good), True, False):
-            bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps(with_key(CONFIG_DOC, key, place(value))))
-            for command in (["run", "--out", str(tmp_path / "out")], ["verify"]):
-                assert main([command[0], str(bad), "--quiet", *command[1:]]) == 2
-                assert f"error: expected a number, got {value!r}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["run", "verify"])
-    def test_a_boolean_among_floats_exits_2(self, tmp_path, command, capsys):
-        # numpy would read [4.0, true] as [4.0, 1.0]
-        doc = {
-            "problem": {"dim": 2, "sets": [{"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}]},
-            "schedule": {"cycle": [{"strings": [[1]], "weights": [1.0]}]},
-            "relaxation": {"constant": 1.0},
-            "x0": [4.0, True],
-        }
-        path = tmp_path / "mixed.json"
-        path.write_text(json.dumps(doc))
-        out = ["--out", str(tmp_path / "out")] if command == "run" else []
-        assert main([command, str(path), "--quiet", *out]) == 2
-        assert "error: expected a number, got True" in capsys.readouterr().err
-
     def test_an_int_in_a_float_key_parses(self, tmp_path):
         ints = json.loads(json.dumps(CONFIG_DOC))
         ints["problem"]["sets"] = [{"kind": "box", "lo": [-3], "hi": [-1]}, {"kind": "box", "lo": [1], "hi": [3]}]
@@ -1179,85 +825,6 @@ class TestCli:
             traces.append((tmp_path / name / "trace.csv").read_bytes())
         assert traces[0] == traces[1]
 
-    @pytest.mark.parametrize(
-        "extra, argv",
-        [
-            ({"seed": -1}, ["run"]),
-            ({"seed": -1}, ["verify"]),
-            ({"seed": -1}, ["oracle"]),
-            ({"perturbation": {"seed": -1}}, ["run"]),
-            ({"perturbation": {"seed": -1}}, ["verify"]),
-            ({"perturbation": {"seed": -1}}, ["oracle"]),
-            ({}, ["run", "--seed", "-1"]),
-            ({}, ["verify", "--seed", "-1"]),
-            ({}, ["sweep", "--param", "seed", "--values", "-1"]),
-        ],
-        ids=["seed_run", "seed_verify", "seed_oracle", "perturbation_seed_run", "perturbation_seed_verify",
-             "perturbation_seed_oracle", "flag_run", "flag_verify", "sweep"],
-    )
-    def test_a_negative_seed_exits_2(self, tmp_path, extra, argv, capsys):
-        path = tmp_path / "negative_seed.json"
-        path.write_text(json.dumps({**CONFIG_DOC, **extra}))
-        command, *flags = argv
-        assert main([command, str(path), *flags]) == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
-    def test_a_direction_of_another_dimension_exits_2(self, tmp_path, command, capsys):
-        # R^2 with a one-entry direction: the run used to broadcast it over
-        # both coordinates and fail only when writing trace.csv
-        doc = {
-            "problem": {"dim": 2, "sets": [
-                {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
-                {"kind": "halfspace", "a": [1.0, 1.0], "b": 0.5},
-            ]},
-            "schedule": {"cycle": [{"strings": [[1], [2]], "weights": [0.5, 0.5]}]},
-            "relaxation": {"epsilon": 0.05, "constant": 1.0},
-            "x0": [4.0, -2.5],
-            "perturbation": {"directions": [[1.0]]},
-        }
-        path = tmp_path / "short_direction.json"
-        path.write_text(json.dumps(doc))
-        flags = ["--out", str(tmp_path / "out")] if command == "run" else []
-        assert main([command, str(path), *flags]) == 2
-        assert "perturbation direction dimension 1 differs from problem dimension 2" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        with pytest.raises(ConfigError, match="direction dimension 3 differs"):
-            parse_config(with_key(doc, "perturbation.directions", [[1.0, 0.0, 0.0]]))
-        doc["perturbation"]["directions"] = [[1.0, 0.0], [0.0, -1.0]]
-        assert len(parse_config(doc).perturb.directions) == 2
-
-    @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
-    def test_schedule_operators_of_another_dimension_exit_2(self, tmp_path, command, capsys):
-        # R^3 operators on an R^2 problem: unchecked, verify would print its
-        # checks and fail mid-run, run and oracle only once the iteration trips
-        doc = {
-            "problem": {"dim": 2, "sets": [
-                {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
-                {"kind": "halfspace", "a": [1.0, 1.0], "b": 0.5},
-            ]},
-            "schedule": {
-                "operators": [
-                    {"kind": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
-                    {"kind": "halfspace", "a": [1.0, 1.0, 1.0], "b": 0.5},
-                ],
-                "cycle": [{"strings": [[1], [2]], "weights": [0.5, 0.5]}],
-            },
-            "relaxation": {"epsilon": 0.05, "constant": 1.0},
-            "x0": [4.0, -2.5],
-        }
-        path = tmp_path / "wide_operators.json"
-        path.write_text(json.dumps(doc))
-        flags = ["--out", str(tmp_path / "out")] if command == "run" else []
-        assert main([command, str(path), *flags]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "schedule operator dimension 3 differs from problem dimension 2" in err
-        assert not (tmp_path / "out").exists()
-        del doc["schedule"]["operators"]
-        assert parse_config(doc).schedule.dim == 2
-
     def test_each_seed_holder_refuses_a_negative_seed(self):
         config = parse_config(json.loads(json.dumps(CONFIG_DOC)))
         for make in (
@@ -1268,47 +835,12 @@ class TestCli:
             with pytest.raises(ValueError, match="seed must be >= 0"):
                 make()
 
-    def test_oracle_above_dimension_3_exits_2(self, tmp_path, capsys):
-        doc = {
-            "problem": {"dim": 4, "sets": [{"kind": "box", "lo": [-1.0] * 4, "hi": [1.0] * 4}]},
-            "schedule": {"cycle": [{"strings": [[1]], "weights": [1.0]}]},
-            "relaxation": {"epsilon": 0.05, "constant": 1.0},
-            "x0": [2.0] * 4,
-        }
-        path = tmp_path / "dim4.json"
-        path.write_text(json.dumps(doc))
-        assert main(["oracle", str(path)]) == 2
-        assert "oracle restricted to dimension <= 3" in capsys.readouterr().err
-
     def test_max_iters_override_stops_the_run(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert main(["run", str(config_file), "--out", str(out), "--max-iters", "3", "--quiet"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iters"] == 3 and summary["converged"] is False
         assert len((out / "trace.csv").read_text().splitlines()) == 3 + 2  # header + 4 iterates
-
-    @pytest.mark.parametrize(
-        "override",
-        [["--max-iters", "0"], ["--tol", "1e-11"]],  # the tol would fall below eq_tol 1e-10
-        ids=["max_iters_0", "tol_below_eq_tol"],
-    )
-    def test_invalid_override_exits_2(self, config_file, tmp_path, override):
-        assert main(["run", str(config_file), "--out", str(tmp_path / "out"), "--quiet", *override]) == 2
-        assert not (tmp_path / "out").exists()
-
-    def test_seed_override_changes_perturbed_run(self, tmp_path):
-        doc = json.loads(json.dumps(CONFIG_DOC))
-        doc["perturbation"] = {"beta0": 0.5, "decay": 0.9}
-        doc["x0"] = [40.0]
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(doc))
-        main(["run", str(path), "--out", str(tmp_path / "s1"), "--seed", "1", "--quiet"])
-        main(["run", str(path), "--out", str(tmp_path / "s2"), "--seed", "2", "--quiet"])
-        main(["run", str(path), "--out", str(tmp_path / "s1b"), "--seed", "1", "--quiet"])
-        b1 = (tmp_path / "s1" / "trace.csv").read_bytes()
-        b2 = (tmp_path / "s2" / "trace.csv").read_bytes()
-        b1b = (tmp_path / "s1b" / "trace.csv").read_bytes()
-        assert b1 == b1b and b1 != b2
 
     def test_superiorized_run_csv_has_phi_columns(self, tmp_path):
         doc = json.loads(json.dumps(CONFIG_DOC))
@@ -1321,6 +853,12 @@ class TestCli:
         assert "phi_value" in header and "perturb_l1_budget_remaining" in header
         summary = json.loads((out / "summary.json").read_text())
         assert summary["phi_final"] is not None
+
+
+# The exit-code cases that were tests of this class are rows of the table in
+# test_exit_codes.py; they run here under the test ids they had.
+for _name, _test in legacy_tests().items():
+    setattr(TestCli, _name, _test)
 
 
 class TestRandomSampleOptimality:
