@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -329,23 +330,29 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _resolve_includes(doc, base_dir: Path):
+def _resolve_includes(doc, base_dir: Path, chain: tuple[str, ...] = ()):
     """Replace {"include": "path"} nodes by the referenced JSON document.
 
-    Returns fresh dicts and lists, so the result never aliases ``doc``.
+    ``chain`` holds the resolved paths of the includes being expanded, outermost
+    first; a file that includes one of them is a cycle.  A file included twice
+    along separate branches is not.  Returns fresh dicts and lists, so the
+    result never aliases ``doc``.
     """
     if isinstance(doc, dict):
         if set(doc.keys()) == {"include"}:
             target = base_dir / doc["include"]
+            resolved = os.path.realpath(target)
+            if resolved in chain:
+                raise ConfigError(f"config includes itself: {' -> '.join((*chain, resolved))}")
             try:
                 with open(target, encoding="utf-8") as fh:
                     included = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot include {target}: {exc}") from exc
-            return _resolve_includes(included, target.parent)
-        return {k: _resolve_includes(v, base_dir) for k, v in doc.items()}
+            return _resolve_includes(included, target.parent, (*chain, resolved))
+        return {k: _resolve_includes(v, base_dir, chain) for k, v in doc.items()}
     if isinstance(doc, list):
-        return [_resolve_includes(v, base_dir) for v in doc]
+        return [_resolve_includes(v, base_dir, chain) for v in doc]
     return doc
 
 
@@ -483,7 +490,7 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ConfigError(str(exc)) from exc
     except RecursionError as exc:
-        raise ConfigError(f"config includes itself or nests too deeply: {exc}") from exc
+        raise ConfigError(f"config nests too deeply: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -118,7 +118,11 @@ class HalfspaceProjection(_AffineProjection):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if _is_vector(x):
-            e = float(x @ self.a) - self.b
+            # for a positive stride, ndarray.dot makes the cblas_ddot call of
+            # x @ a at less call cost; for a zero or negative one @ runs
+            # numpy's own loop, and dot would sum a contiguous copy, which
+            # rounds differently
+            e = float(x.dot(self.a) if x.strides[0] > 0 else x @ self.a) - self.b
             if e <= 0.0:
                 return x
             if e > 0.0:
@@ -249,9 +253,9 @@ class _HalfspaceFamily:
     """Stacked evaluation of ``sum_i w_i P_{H_i}(x)`` over half-spaces, for one vector x.
 
     Equal bit for bit to the tree's ``w_0 T_0(x) + w_1 T_1(x) + ...``.  The m
-    dots are one batched matmul (``core._row_dots``) that runs the leaves' own
-    ``x @ a_i`` ddot per row, x first; a gemv ``A @ x`` is not used because it
-    rounds differently.
+    dots are one batched matmul (``core._row_dots``) that runs the ddot of the
+    leaves' ``x.dot(a_i)`` per row, x first; a gemv ``A @ x`` is not used
+    because it rounds differently.
 
     A row whose factor ``s_i = max(0, <a_i, x> - b_i) / <a_i, a_i>`` is zero,
     a set the point satisfies, never reads the matrix: ``x - 0.0 * a_i`` is x
@@ -398,7 +402,12 @@ def residual(op: Operator, x) -> float | np.ndarray:
     moved = ~((gap <= 0.0) & (gap > -np.inf))
     out = np.zeros(gap.shape)
     r = x[moved]
-    out[moved] = norm((r - (np.maximum(0.0, gap[moved]) / op._aa)[:, None] * op.a) - r)
+    # norm((r - s[:, None] * a) - r) in its elementwise order, in one buffer
+    t = np.multiply((np.maximum(0.0, gap[moved]) / op._aa)[:, None], op.a)
+    np.subtract(r, t, out=t)
+    np.subtract(t, r, out=t)
+    np.multiply(t, t, out=t)
+    out[moved] = np.sqrt(np.add.reduce(t, axis=-1))
     return out
 
 

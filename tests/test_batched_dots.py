@@ -1,9 +1,10 @@
 """The batched row dots (``core._row_dots``) against the per-row 1-D dots they replace.
 
 ``_HalfspaceFamily`` computes all its row dots with one batched matmul.  Each
-dot must equal the 1-D ``x @ a_i`` it replaces bit for bit, so every
-comparison here is on bytes: a -0.0 against a +0.0, or one ulp, counts as a
-difference.
+dot must equal the 1-D ``x @ a_i`` it replaces bit for bit, and the
+``x.dot(a_i)`` that a half-space leaf computes for a vector of positive
+stride, so the kernel keeps the tree's bits.  Every comparison here is on
+bytes: a -0.0 against a +0.0, or one ulp, counts as a difference.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ def test_row_dots_match_the_per_row_dots(n, seed):
     base = rng.standard_normal(3 * n)
     for x in (base[:n].copy(), base[::3], np.abs(base[1::3])):  # contiguous, strided, positive
         assert same_bits(_row_dots(x, a), np.array([x @ row for row in a]))
+        assert same_bits(_row_dots(x, a), np.array([x.dot(row) for row in a]))  # the leaf's dot
         assert same_bits(_row_dots(a, x), np.array([row @ x for row in a]))
 
 
@@ -45,6 +47,7 @@ def test_row_dots_of_a_strided_matrix_view():
     a = big[::2, ::2]  # neither rows nor columns contiguous
     x = rng.standard_normal(1000)
     assert same_bits(_row_dots(x, a), np.array([x @ row for row in a]))
+    assert same_bits(_row_dots(x, a), np.array([x.dot(row) for row in a]))
     assert same_bits(_row_dots(a, x), np.array([row @ x for row in a]))
 
 

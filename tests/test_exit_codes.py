@@ -47,6 +47,7 @@ class Row(NamedTuple):
     errstate: dict = {}  # the np.errstate of a row that overflows on purpose
     patch: dict = {}  # harness attribute -> its value during the call
     process: bool = False  # run `python -m gdsa.cli` in a fresh interpreter
+    files: dict = {}  # file name -> the document written next to config.json
     legacy: str = ""  # the TestCli test id this row runs under
 
 
@@ -59,11 +60,11 @@ LOADERS = {
 }
 
 
-def malformed(name: str, change: dict, err: str, base=CONFIG_DOC, legacy: str = "") -> dict:
+def malformed(name: str, change: dict, err: str, base=CONFIG_DOC, legacy: str = "", files: dict = {}) -> dict:
     """Rows of a config that every loading subcommand refuses with exit 2;
     ``{cmd}`` in ``legacy`` stands for the subcommand."""
     return {
-        f"{name}-{cmd}": Row(argv, 2, base, change, err, legacy=legacy.format(cmd=cmd))
+        f"{name}-{cmd}": Row(argv, 2, base, change, err, legacy=legacy.format(cmd=cmd), files=files)
         for cmd, argv in LOADERS.items()
     }
 
@@ -275,6 +276,13 @@ ROWS: dict[str, Row] = {
         "include_cycle", {"problem": {"include": "config.json"}}, "error: config includes itself",
         legacy="test_include_cycle_exits_2[{cmd}]"),
     **malformed(
+        "include_two_file_cycle", {"problem": {"include": "a.json"}}, "error: config includes itself",
+        files={"a.json": {"include": "b.json"}, "b.json": {"include": "a.json"}}),
+    # one file reached along two branches is no cycle: both sets are box.json
+    "include_diamond": Row(
+        ("run", "--quiet"), 0, change={"problem.sets": [{"include": "left.json"}, {"include": "right.json"}]},
+        files={"left.json": {"include": "box.json"}, "right.json": {"include": "box.json"}, "box.json": SETS[1]}),
+    **malformed(
         "negative_seed", {"seed": -1}, "error: seed must be >= 0", legacy="test_a_negative_seed_exits_2[seed_{cmd}]"),
     **malformed(
         "negative_perturbation_seed", {"perturbation": {"seed": -1}}, "error: seed must be >= 0",
@@ -387,6 +395,8 @@ def invoke(row: Row, where: Path, monkeypatch, capsys) -> tuple:
         doc = with_key(doc, key, value)
     config = where / "config.json"
     config.write_text(doc if isinstance(doc, str) else json.dumps(doc))  # NaN, Infinity: the JSON extensions
+    for name, included in row.files.items():
+        (where / name).write_text(json.dumps(included))
     argv = [row.argv[0], str(config), *row.argv[1:]]
     if row.process:
         env = {**os.environ, "PYTHONPATH": str(Path(gdsa.__file__).parent.parent)}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import time
 from fractions import Fraction
 from dataclasses import replace
@@ -288,6 +290,22 @@ class TestConfig:
         doc["problem"] = {"include": "b.json"}
         with pytest.raises(ConfigError, match="includes itself"):
             parse_config(doc, tmp_path)
+
+    def test_include_cycle_names_its_chain(self, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps({"include": "b.json"}))
+        (tmp_path / "b.json").write_text(json.dumps({"include": "./a.json"}))
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        doc["problem"] = {"include": "a.json"}
+        a, b = (os.path.realpath(tmp_path / name) for name in ("a.json", "b.json"))
+        with pytest.raises(ConfigError, match=re.escape(f"config includes itself: {a} -> {b} -> {a}")):
+            parse_config(doc, tmp_path)
+
+    def test_nesting_past_the_recursion_limit_without_a_cycle_raises_config_error(self):
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        for _ in range(10_000):
+            doc["note"] = {"note": doc.get("note")}
+        with pytest.raises(ConfigError, match="config nests too deeply"):
+            parse_config(doc)
 
     def test_resolved_config_never_aliases_the_callers_document(self, tmp_path):
         (tmp_path / "problem.json").write_text(json.dumps(CONFIG_DOC["problem"]))

@@ -66,15 +66,32 @@ def with_nan(x, rng):
     return x
 
 
-@given(data=st.data(), n=st.integers(1, 50), place=st.sampled_from(PLACES))
+# The 1-D layouts a vector can arrive in: each maps the entries v to a view
+# holding them (the broadcast view holds v[0] in every entry).
+LAYOUTS = {
+    "contiguous": lambda v: v.copy(),
+    "every other": lambda v: np.repeat(v, 2)[::2],
+    "reversed": lambda v: v[::-1].copy()[::-1],
+    "row of a C stack": lambda v: np.stack([-v, v, 2.0 * v])[1],
+    "row of an F stack": lambda v: np.asfortranarray(np.stack([-v, v, 2.0 * v]))[1],
+    "broadcast": lambda v: np.broadcast_to(v[:1], v.shape),
+}
+
+
+@given(
+    data=st.data(), n=st.integers(1, 2000), place=st.sampled_from(PLACES), layout=st.sampled_from(sorted(LAYOUTS)))
 @settings(max_examples=300, deadline=None)
-def test_halfspace_vector_path(data, n, place):
-    a, x, rng, nan = random_point(data, n)
+def test_halfspace_vector_path(data, n, place, layout):
+    # n reaches past the unrolled tails of the BLAS dot; a reversed or a
+    # zero-stride view must keep the rounding of x @ a
+    a, v, rng, nan = random_point(data, n)
+    x = LAYOUTS[layout](v)
     excess = float(x @ a)
     b = {"inside": excess + rng.uniform(0.1, 2.0), "outside": excess - rng.uniform(0.1, 2.0), "boundary": excess}[place]
     op = HalfspaceProjection(a, b)
     if nan:
-        x = with_nan(x, rng)
+        x = LAYOUTS[layout](with_nan(v, rng))
+        nan = bool(np.isnan(x).any())  # the broadcast view keeps only v[0]
     out, ref = op.apply(x), old_halfspace(op, x)
     assert np.array_equal(out, ref, equal_nan=True)
     if not has_negative_zero(x):
