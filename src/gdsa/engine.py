@@ -108,23 +108,41 @@ class RelaxationSchedule:
 
 
 @dataclass(frozen=True)
-class PerturbationSchedule:
-    """Bounded perturbations ``beta_k * v_k`` with ``beta_k = beta0 * decay^k``.
-
-    decay < 1 makes the beta series summable.  Directions are unit vectors
-    from a seeded generator, or a fixed list (cycled when exhausted).
-    """
+class _Geometric:
+    """The summable step sizes ``beta_k = beta0 * decay^k``, k = 0, 1, 2, ...: a finite
+    beta0 >= 0 and a decay in (0, 1) make them sum to ``beta0 / (1 - decay)``."""
 
     beta0: float = 0.5
     decay: float = 0.9
-    seed: int = 0
-    directions: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta0 < math.inf:
             raise ValueError("beta0 must be finite and nonnegative")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
+
+    def beta_at(self, k: int) -> float:
+        return self.beta0 * self.decay**k
+
+    @property
+    def total_budget(self) -> float:
+        return self.beta0 / (1.0 - self.decay)
+
+    def remaining_after(self, k):
+        """The budget left after step k (an int or an integer array); total minus spent would cancel."""
+        return self.total_budget * self.decay ** (k + 1)
+
+
+@dataclass(frozen=True)
+class PerturbationSchedule(_Geometric):
+    """Bounded perturbations ``beta_k * v_k``: unit directions v_k from a seeded
+    generator, or a fixed list (cycled when exhausted)."""
+
+    seed: int = 0
+    directions: Optional[tuple[np.ndarray, ...]] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.directions is not None:
@@ -135,9 +153,6 @@ class PerturbationSchedule:
                 if float(np.sqrt(v @ v)) > 1.0 + DEFAULT_TOLERANCES.eq_tol:
                     raise ValueError("perturbation directions must have norm <= 1")
             object.__setattr__(self, "directions", dirs)
-
-    def beta_at(self, k: int) -> float:
-        return self.beta0 * self.decay**k
 
     def direction_stream(self, dim: int) -> Callable[[int], np.ndarray]:
         """Per-run direction source; sequential calls must use k = 0, 1, 2, ...

@@ -340,7 +340,9 @@ def _resolve_includes(doc, base_dir: Path, chain: tuple[str, ...] = ()):
     """
     if isinstance(doc, dict):
         if set(doc.keys()) == {"include"}:
-            target = base_dir / doc["include"]
+            if not isinstance(name := doc["include"], str) or not name:
+                raise ConfigError(f"include must name a file, got {name!r}")
+            target = base_dir / name
             resolved = os.path.realpath(target)
             if resolved in chain:
                 raise ConfigError(f"config includes itself: {' -> '.join((*chain, resolved))}")

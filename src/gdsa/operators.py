@@ -257,12 +257,11 @@ class _HalfspaceFamily:
     leaves' ``x.dot(a_i)`` per row, x first; a gemv ``A @ x`` is not used
     because it rounds differently.
 
-    A row whose factor ``s_i = max(0, <a_i, x> - b_i) / <a_i, a_i>`` is zero,
-    a set the point satisfies, never reads the matrix: ``x - 0.0 * a_i`` is x
-    for a finite a_i and an x without a zero entry, the only points the
-    family takes, so the row is ``w_i * x``.  The other rows, a NaN factor
-    among them, are gathered and computed as ``w_i * (x - s_i * a_i)``, the
-    leaf's operations in its order.
+    A row is moved unless its gap ``g_i = <a_i, x> - b_i`` is at most 0, the
+    leaf's own test (a NaN gap counts as moved).  A row not moved never reads
+    the matrix: it is ``w_i * x``, as the leaf returns x there.  The moved
+    rows are gathered and computed as ``w_i * (x - (g_i / <a_i, a_i>) * a_i)``,
+    the leaf's operations in its order.
 
     Equal weights are stored as one Python float, since numpy multiplies by a
     scalar several times faster than by an (m, 1) column: ``w * x`` is
@@ -287,10 +286,10 @@ class _HalfspaceFamily:
         self.w = weights[0] if len(set(weights)) == 1 else _frozen(np.array(weights)[:, None])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        scale = np.maximum(0.0, _row_dots(x, self.matrix) - self.b) / self.aa
-        moved = scale != 0.0  # a NaN factor counts as violated
+        gap = _row_dots(x, self.matrix) - self.b
+        moved = ~(gap <= 0.0)
         r = self.matrix[moved]
-        np.multiply(scale[moved][:, None], r, out=r)
+        np.multiply((gap[moved] / self.aa[moved])[:, None], r, out=r)
         np.subtract(x, r, out=r)
         t = np.empty(self.matrix.shape)
         if isinstance(self.w, float):
@@ -308,13 +307,12 @@ class ConvexCombination(Operator):
     """Weighted average ``sum_i w_i T_i`` with strictly positive weights summing to one.
 
     Two or more half-space terms in dimension >= 2 evaluate a single vector
-    without a zero coordinate through a stacked kernel (``_HalfspaceFamily``)
-    equal to the sum below bit for bit: its dots are one batched matmul of
-    per-row ddots, the leaves' own rounding (a gemv would round differently),
-    a term whose set holds x is ``w_i * x`` without reading its normal
-    (``x - 0.0 * a_i`` is x when x has no zero entry), equal weights are one
-    float, and its sum adds the terms in order.  Stacks of vectors, vectors
-    with a zero coordinate and every other mix of terms use the sum.
+    through a stacked kernel (``_HalfspaceFamily``) equal to the sum below
+    bit for bit: its dots are one batched matmul of per-row ddots, the
+    leaves' own rounding (a gemv would round differently), a term whose set
+    holds x is ``w_i * x`` without reading its normal, equal weights are one
+    float, and its sum adds the terms in order.  Stacks of vectors and every
+    other mix of terms use the sum.
     """
 
     terms: tuple[tuple[float, Operator], ...]
@@ -336,9 +334,7 @@ class ConvexCombination(Operator):
         return self.terms[0][1].dim
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        # a zero coordinate goes to the tree: the kernel's x - 0.0 * a turns
-        # -0.0 into +0.0 where a_j < 0, a leaf's inside exit keeps it
-        if self._halfspaces is not None and _is_vector(x) and x.all():
+        if self._halfspaces is not None and _is_vector(x):
             return self._halfspaces.apply(x)
         out = self.terms[0][0] * self.terms[0][1].apply(x)
         for w, op in self.terms[1:]:

@@ -145,10 +145,6 @@ class ControlSchedule:
         object.__setattr__(self, "preamble", preamble)
 
     @property
-    def m(self) -> int:
-        return len(self.operators)
-
-    @property
     def dim(self) -> int:
         return self.operators[0].dim
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DEFAULT_TOLERANCES, Tolerances, _check_dim, _common_dim, _frozen, as_vector, norm
-from .engine import IterationTrace, RelaxationSchedule, StopRule, _run_loop
+from .engine import IterationTrace, RelaxationSchedule, StopRule, _Geometric, _run_loop
 from .strings import ControlSchedule
 
 __all__ = [
@@ -142,33 +142,22 @@ class MaxOfAffine(ObjectiveFunction):
 
 
 @dataclass(frozen=True)
-class SuperiorizationSchedule:
-    """Inner-step counts and shift sizes: N_k = steps and
-    ``beta_{k,n} = beta0 * decay^k / N_k``.
+class SuperiorizationSchedule(_Geometric):
+    """Inner-step counts N_k = steps and shift sizes ``beta_{k,n} = beta_k / N_k``
+    with beta0 > 0; the double series sums to ``total_budget``."""
 
-    beta0 must be strictly positive and decay in (0, 1), which certifies the
-    double series ``sum_k sum_n beta_{k,n} = beta0 / (1 - decay)`` finite.
-    """
-
-    beta0: float = 0.5
-    decay: float = 0.9
     steps: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta0 < math.inf:
             raise ValueError("beta0 must be finite and strictly positive")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
+        super().__post_init__()
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
 
     def beta_at(self, k: int) -> float:
         """``beta_{k,n}``, the same for every inner step n of step k."""
-        return self.beta0 * self.decay**k / self.steps
-
-    @property
-    def total_budget(self) -> float:
-        return self.beta0 / (1.0 - self.decay)
+        return super().beta_at(k) / self.steps
 
 
 def perturbation_directions(
@@ -240,8 +229,7 @@ def superiorized_run(
     return replace(
         trace,
         phi_values=np.asarray([phi.evaluate(y) for y in trace.iterates]),
-        # after step k, beta0 * decay^(k+1) / (1 - decay) remains; total minus spent would cancel
-        perturb_budget_remaining=sup.total_budget * sup.decay ** np.arange(1, trace.iterations + 1),
+        perturb_budget_remaining=sup.remaining_after(np.arange(trace.iterations)),
     )
 
 

@@ -370,6 +370,9 @@ for slot, (key, good, place) in NUMBER_SLOTS.items():
         ROWS.update(malformed(
             f"not_a_number_{slot}_{value!r}", {key: place(value)}, f"error: expected a number, got {value!r}",
             legacy=f"test_a_string_or_boolean_number_exits_2[{slot}]"))
+for name, value in {"number": 5, "empty": "", "list": ["box.json"]}.items():
+    ROWS.update(malformed(
+        f"include_{name}", {"problem": {"include": value}}, f"error: include must name a file, got {value!r}"))
 for name, bad_set in BAD_ALPHAS.items():
     ROWS.update(malformed(
         f"bad_alpha_{name}", {"problem.sets": [*SETS, bad_set], "schedule.operators": SETS}, "alpha",

@@ -36,6 +36,13 @@ def random_family(m: int, n: int, seed: int, equal: bool = False):
     return terms, z, rng
 
 
+# a positive gap whose factor gap / <a, a> underflows to 0 at x_0 = -0.0 with
+# a_0 < 0: the first leaf moves x, and x - 0.0 * a turns -0.0 into +0.0
+SUBNORMAL_GAP = ConvexCombination(((0.5, HalfspaceProjection(np.array([-1.0, 1.0]), 1e-310 - 5e-324)),
+                                   (0.5, HalfspaceProjection(np.array([1.0, 1.0]), 1.0))))
+SUBNORMAL_GAP_POINT = np.array([-0.0, 1e-310])
+
+
 @given(m=st.integers(2, 30), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1), equal=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_stacked_kernel_matches_tree_bitwise(m, n, seed, equal):
@@ -70,11 +77,15 @@ def test_stacked_kernel_matches_tree_bitwise(m, n, seed, equal):
     nan_point[c] = np.nan
     inf_point[c] = np.inf if rng.random() < 0.5 else -np.inf
     cases = [(op, z), (op, outside), (on_boundary, outside), (all_violated, outside),
-             (ConvexCombination(zero_terms), signed_zero), (op, nan_point), (op, inf_point)]
+             (ConvexCombination(zero_terms), signed_zero), (op, nan_point), (op, inf_point),
+             (SUBNORMAL_GAP, SUBNORMAL_GAP_POINT)]
     with np.errstate(invalid="ignore", over="ignore"):
         for family, x in cases:
-            assert same_bits(family.apply(x), tree_sum(family.terms, x))
-            assert same_bits(apply(family, x), tree_sum(family.terms, x))
+            expected = tree_sum(family.terms, x)
+            assert same_bits(family.apply(x), expected)
+            assert same_bits(apply(family, x), expected)
+            if family._halfspaces is not None:
+                assert same_bits(family._halfspaces.apply(x), expected)
 
 
 def test_negative_zero_coordinate_kept():
@@ -83,7 +94,10 @@ def test_negative_zero_coordinate_kept():
     terms = ((0.5, HalfspaceProjection(np.array([1.0, 1.0]), 5.0)),
              (0.5, HalfspaceProjection(np.array([2.0, -1.0]), 5.0)))
     x = np.array([-0.0, 1.0])
-    out = ConvexCombination(terms).apply(x)
+    op = ConvexCombination(terms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HalfspaceProjection, "apply", None)  # the stacked kernel serves x, not the leaves
+        out = op.apply(x)
     assert np.signbit(out[0])
     assert same_bits(out, tree_sum(terms, x))
 

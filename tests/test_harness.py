@@ -208,7 +208,7 @@ class TestConfig:
     def test_parse_full_document(self):
         config = parse_config(json.loads(json.dumps(CONFIG_DOC)))
         assert config.problem.m == 2
-        assert config.schedule.m == 2
+        assert len(config.schedule.operators) == 2
         assert config.relax.constant == 1.0
         assert config.seed == 17
         assert config.plan_weights() == (0.5, 0.5)
