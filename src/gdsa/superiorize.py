@@ -18,6 +18,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -160,6 +161,37 @@ class SuperiorizationSchedule(_Geometric):
         return super().beta_at(k) / self.steps
 
 
+def _finite_value(phi: ObjectiveFunction, x: np.ndarray) -> float:
+    """phi(x), raising :class:`NonFiniteObjectiveError` when it is not finite."""
+    value = phi.evaluate(x)
+    if not math.isfinite(value):
+        raise NonFiniteObjectiveError("objective evaluated to a non-finite value")
+    return value
+
+
+def _steering(point: np.ndarray, phi: ObjectiveFunction, betas, zero_tol: float):
+    """The steering loop: for each entry beta of betas, yield ``(value, v, step)``.
+
+    ``value`` is phi at the current partial point (checked finite), v the
+    negated normalized subgradient selection there (zero when its norm is at
+    or below zero_tol, checked finite), and ``step = beta * v``.  The next
+    point is ``point + step``; it is formed only when another beta follows.
+    The first value is phi at the given point itself.
+    """
+    for n, beta in enumerate(betas):
+        if n:
+            point = point + step
+        value = _finite_value(phi, point)
+        s = phi.subgradient(point)
+        ns = phi._subgradient_norm(s)
+        if not math.isfinite(ns):
+            raise NonFiniteObjectiveError("subgradient selection is non-finite")
+        # IEEE division is sign-symmetric: s / -ns is -s / ns bit for bit
+        v = np.zeros_like(point) if ns <= zero_tol else s / -ns
+        step = beta * v
+        yield value, v, step
+
+
 def perturbation_directions(
     y: np.ndarray,
     phi: ObjectiveFunction,
@@ -174,27 +206,13 @@ def perturbation_directions(
     subgradient's norm is at or below subgrad_zero_tol.  The objective is
     checked finite at each of those points before its subgradient is taken.
     Raises :class:`DimensionMismatchError` if ``phi`` needs a dimension other
-    than y's.
+    than y's, before the objective is first evaluated.  This is the same loop
+    :func:`superiorized_run` steers with.
     """
     point = np.asarray(y, dtype=float)
     if phi.dim is not None:
         _check_dim("objective", phi.dim, point.size)
-    zero_tol = tolerances.subgrad_zero_tol
-    last = len(betas) - 1
-    dirs: list[np.ndarray] = []
-    for n, beta in enumerate(betas):
-        if not math.isfinite(phi.evaluate(point)):
-            raise NonFiniteObjectiveError("objective evaluated to a non-finite value")
-        s = phi.subgradient(point)
-        ns = phi._subgradient_norm(s)
-        if not math.isfinite(ns):
-            raise NonFiniteObjectiveError("subgradient selection is non-finite")
-        # IEEE division is sign-symmetric: s / -ns is -s / ns bit for bit
-        v = np.zeros_like(point) if ns <= zero_tol else s / -ns
-        dirs.append(v)
-        if n < last:  # the point after the last direction is never read
-            point = point + beta * v
-    return dirs
+    return [v for _, v, _ in _steering(point, phi, betas, tolerances.subgrad_zero_tol)]
 
 
 def superiorized_run(
@@ -208,27 +226,38 @@ def superiorized_run(
 ) -> IterationTrace:
     """Run the superiorized iteration from y0.
 
-    Step k shifts the iterate by the steering directions' weighted sum and
-    applies the relaxed plan operator at the shifted point;
-    ``trace.perturbations[k]`` is the norm of that sum.  The trace
-    additionally records the objective value at every iterate and the shift
-    budget remaining after every step.  Raises :class:`DimensionMismatchError`
-    if ``phi`` needs a dimension other than the schedule's; the check is made
-    by :func:`perturbation_directions`, so it fires at step 0 before the plan
-    operator is first applied.
+    Step k shifts the iterate by the steering directions' weighted sum, the
+    directions being those :func:`perturbation_directions` gives, and applies
+    the relaxed plan operator at the shifted point; ``trace.perturbations[k]``
+    is the norm of that sum.  The trace additionally records the objective
+    value at every iterate and the shift budget remaining after every step.
+    At every iterate but the last, that value is the one steering evaluated,
+    and checked finite, at its first point; only the final iterate is
+    evaluated after the loop, and a non-finite value there raises
+    :class:`NonFiniteObjectiveError` too.  Raises
+    :class:`DimensionMismatchError` if ``phi`` needs a dimension other than
+    the schedule's; the check is made at step 0, after the relaxation and y0
+    are validated and before the plan operator is first applied.
     """
+    zero_tol = tolerances.subgrad_zero_tol
+    phi_values: list[float] = []
 
     def shift_at(k: int, y: np.ndarray) -> np.ndarray:
-        beta = sup.beta_at(k)
-        total = np.zeros_like(y)
-        for v in perturbation_directions(y, phi, [beta] * sup.steps, tolerances):
-            total += beta * v
+        if not k and phi.dim is not None:
+            _check_dim("objective", phi.dim, y.size)
+        steering = _steering(y, phi, repeat(sup.beta_at(k), sup.steps), zero_tol)
+        value, _, first = next(steering)
+        phi_values.append(value)
+        total = first + 0.0  # a -0.0 entry becomes +0.0, as in a sum started from zeros
+        for _, _, step in steering:
+            total += step
         return total
 
     trace = _run_loop(schedule, relax, y0, stop, shift_at)
+    phi_values.append(_finite_value(phi, trace.final))
     return replace(
         trace,
-        phi_values=np.asarray([phi.evaluate(y) for y in trace.iterates]),
+        phi_values=np.asarray(phi_values),
         perturb_budget_remaining=sup.remaining_after(np.arange(trace.iterations)),
     )
 

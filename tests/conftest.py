@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import settings
 
 from gdsa import ControlSchedule, RelaxationSchedule, StopRule, simultaneous_plan
-from gdsa.core import norm
+from gdsa.core import DEFAULT_TOLERANCES, _check_dim, norm
 from gdsa.harness import ProblemInstance
 from gdsa.operators import BallProjection, BoxProjection
+from gdsa.superiorize import NonFiniteObjectiveError
 
 # Property tests draw the same examples on every run, so any two runs of the
 # suite check the same cases.
@@ -178,6 +180,28 @@ def old_halfspace(op, x):
 def old_residual(op, xs):
     """The half-space's row residuals as ``residual`` computed them before it skipped the rows left fixed."""
     return norm(old_halfspace(op, xs) - xs)
+
+
+def old_perturbation_directions(y, phi, betas, tolerances=DEFAULT_TOLERANCES):
+    """``perturbation_directions`` before it shared its loop with ``superiorized_run``, kept as the reference."""
+    point = np.asarray(y, dtype=float)
+    if phi.dim is not None:
+        _check_dim("objective", phi.dim, point.size)
+    zero_tol = tolerances.subgrad_zero_tol
+    last = len(betas) - 1
+    dirs = []
+    for n, beta in enumerate(betas):
+        if not math.isfinite(phi.evaluate(point)):
+            raise NonFiniteObjectiveError("objective evaluated to a non-finite value")
+        s = phi.subgradient(point)
+        ns = phi._subgradient_norm(s)
+        if not math.isfinite(ns):
+            raise NonFiniteObjectiveError("subgradient selection is non-finite")
+        v = np.zeros_like(point) if ns <= zero_tol else s / -ns
+        dirs.append(v)
+        if n < last:
+            point = point + beta * v
+    return dirs
 
 
 def tree_sum(terms, x):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from gdsa.operators import (
     residual,
 )
 from gdsa.strings import ControlSchedule, StringPlan, rho_constant, simultaneous_plan
-from gdsa.superiorize import L1Norm, SuperiorizationSchedule, superiorized_run
+from gdsa.superiorize import L1Norm, MaxOfAffine, SuperiorizationSchedule, WeightedSquaredNorm, superiorized_run
 
 
 class TestGdsaStep:
@@ -244,6 +245,7 @@ def hand_loop(schedule, lam, x0, iterations, shift_at=None):
 
 class TestRunLoopEqualsGdsaStep:
     X0 = (4.0, -3.0, 2.5, 6.0, -1.0)
+    X0_SIGNED_ZEROS = (4.0, -0.0, 0.0, 6.0, -0.0)
     STOP = StopRule(step_tol=1e-9, window=5, max_iters=300)
 
     @pytest.mark.parametrize("lam", [1.0, 0.7, 1.5])
@@ -272,32 +274,51 @@ class TestRunLoopEqualsGdsaStep:
 
     @pytest.mark.parametrize("lam", [1.0, 0.7, 1.5])
     def test_superiorized_run(self, lam):
-        schedule = mixed_schedule()
+        # a box alone passes a -0.0 of the shifted point on at lam = 1, so the
+        # sign of a zero in the summed shift shows in the iterates
+        box = ControlSchedule(operators=(BoxProjection(-np.ones(5), np.ones(5)),), cycle=(simultaneous_plan(1),))
         relax = RelaxationSchedule(epsilon=0.05, constant=lam)
-        phi, sup = L1Norm(), SuperiorizationSchedule(beta0=1.0, decay=0.95, steps=3)
-        trace = superiorized_run(schedule, relax, phi, sup, self.X0, stop=self.STOP)
+        sup = SuperiorizationSchedule(beta0=1.0, decay=0.95, steps=3)
+        rng = np.random.default_rng(8)
+        center, weight = np.array([0.5, -0.0, 0.0, -1.0, 2.0]), 0.7
+        pieces = ((rng.standard_normal(5), 0.3), (rng.standard_normal(5), -0.2), (np.zeros(5), -4.0))
 
-        def shift_at(k, x):
-            # written out from the definitions, so a wrong fast path in
-            # perturbation_directions cannot also be in the reference
-            betas = [sup.beta_at(k)] * sup.steps
-            point, dirs = x, []
-            for b in betas:
-                assert np.isfinite(phi.evaluate(point))
-                s = np.sign(point)
-                ns = norm(s)
-                v = np.zeros_like(point) if ns <= DEFAULT_TOLERANCES.subgrad_zero_tol else -s / ns
-                dirs.append(v)
-                point = point + b * v
-            total = np.zeros_like(x)
-            for b, v in zip(betas, dirs):
-                total += b * v
-            return total
+        def max_affine_selection(x):
+            # the lowest-index piece attaining the max
+            return pieces[int(np.argmax([float(a @ x) + b for a, b in pieces]))][0]
 
-        xs, shifts, steps = hand_loop(schedule, lam, self.X0, trace.iterations, shift_at)
-        assert trace.iterates.tobytes() == xs.tobytes()
-        assert trace.perturbations.tobytes() == norm(shifts).tobytes()
-        assert trace.step_norms.tobytes() == steps.tobytes()
+        # each objective with its subgradient selection written from the definition
+        objectives = (
+            (L1Norm(), np.sign),
+            (WeightedSquaredNorm(center, weight), lambda x: 2.0 * weight * (x - center)),
+            (MaxOfAffine(pieces), max_affine_selection),
+        )
+        cases = itertools.product((mixed_schedule(), box), objectives, (self.X0, self.X0_SIGNED_ZEROS))
+        for schedule, (phi, selection), x0 in cases:
+            trace = superiorized_run(schedule, relax, phi, sup, x0, stop=self.STOP)
+
+            def shift_at(k, x):
+                # written out from the definitions, so a wrong fast path in
+                # the steering loop cannot also be in the reference
+                betas = [sup.beta_at(k)] * sup.steps
+                point, dirs = x, []
+                for b in betas:
+                    assert np.isfinite(phi.evaluate(point))
+                    s = selection(point)
+                    ns = norm(s)
+                    v = np.zeros_like(point) if ns <= DEFAULT_TOLERANCES.subgrad_zero_tol else -s / ns
+                    dirs.append(v)
+                    point = point + b * v
+                total = np.zeros_like(x)
+                for b, v in zip(betas, dirs):
+                    total += b * v
+                return total
+
+            xs, shifts, steps = hand_loop(schedule, lam, x0, trace.iterations, shift_at)
+            assert trace.iterates.tobytes() == xs.tobytes()
+            assert trace.perturbations.tobytes() == norm(shifts).tobytes()
+            assert trace.step_norms.tobytes() == steps.tobytes()
+            assert trace.phi_values.tobytes() == np.array([phi.evaluate(x) for x in xs]).tobytes()
 
     @pytest.mark.parametrize("nan_above", [np.inf, 1e3], ids=["overflow", "nan"])
     def test_nonfinite_iterate_raised_at_the_same_step(self, nan_above):

@@ -246,6 +246,13 @@ ROWS: dict[str, Row] = {
          "x0": [1e10, 1e10]},
         "error: objective evaluated to a non-finite value", errstate={"over": "ignore"},
         legacy="test_non_finite_objective_exits_1"),
+    # steering checks phi at every iterate it steers from; the last one is checked after the loop
+    "superiorized_overflow_at_the_final_iterate": Row(
+        ("run", "--quiet"), 1, ONE_SET_R2,
+        {"problem.sets": [{"kind": "box", "lo": [1e6, 1e6], "hi": [2e6, 2e6]}],
+         "superiorization": {"objective": {"kind": "wsqnorm", "center": [0.0, 0.0], "weight": 1e300}},
+         "x0": [0.0, 0.0], "stop.max_iters": 1},
+        "error: objective evaluated to a non-finite value", errstate={"over": "ignore"}),
     "non_finite_iterate": Row(
         ("run", "--quiet"), 1, ONE_SET_R2,
         {"problem.sets": [{"kind": "halfspace", "a": [1e300, 1e300], "b": 0.0}],

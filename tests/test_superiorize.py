@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import segment_problem, simultaneous_schedule
+from conftest import old_perturbation_directions, same_bits, segment_problem, simultaneous_schedule
 from gdsa import engine
 from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances, norm
 from gdsa.engine import IterationTrace, RelaxationSchedule, StopRule, run
@@ -133,6 +133,35 @@ class TestDirections:
         assert type(fast) is float
         assert np.float64(fast).tobytes() == np.float64(norm(s)).tobytes()
 
+    @given(
+        kind=st.sampled_from(["l1", "wsqnorm", "max_affine"]),
+        entries=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100.0, 100.0)), min_size=8, max_size=8),
+        dim=st.integers(1, 4),
+        betas=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4),
+        at_zero_subgradient=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_directions_equal_the_loop_before_it_was_shared(self, kind, entries, dim, betas, at_zero_subgradient):
+        y, other = np.array(entries[:dim]), np.array(entries[4:4 + dim])
+        if kind == "l1":
+            phi = L1Norm()
+            if at_zero_subgradient:
+                y = np.copysign(0.0, y)
+        elif kind == "wsqnorm":
+            phi = WeightedSquaredNorm(other, 1.5)
+            if at_zero_subgradient:
+                y = other.copy()
+        else:
+            # with the zero piece on top, the selection at y is the zero vector
+            top = 1e5 if at_zero_subgradient else -1e5
+            phi = MaxOfAffine(((other, 0.5), (np.zeros(dim), top), (np.ones(dim), -0.0)))
+        new, old = perturbation_directions(y, phi, betas), old_perturbation_directions(y, phi, betas)
+        assert len(new) == len(old) == len(betas)
+        assert all(same_bits(a, b) for a, b in zip(new, old))
+        if at_zero_subgradient:
+            assert not np.any(new[0])
+
     def test_sequential_points_used(self):
         # second direction is evaluated at the once-shifted point
         phi = WeightedSquaredNorm(np.zeros(1))
@@ -237,6 +266,24 @@ class TestSuperiorizedRun:
         for remaining in trace.perturb_budget_remaining.tolist():
             exact *= Fraction(sup.decay)
             assert abs(Fraction(remaining) - exact) <= Fraction("4.5e-16") * exact
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_objective_evaluated_once_per_inner_step_and_at_the_last_iterate(
+        self, ball_schedule, unit_relax, default_stop, steps, monkeypatch
+    ):
+        calls = {"evaluate": 0, "subgradient": 0}
+        for name in calls:
+            method = getattr(L1Norm, name)
+
+            def counted(self, x, method=method, name=name):
+                calls[name] += 1
+                return method(self, x)
+
+            monkeypatch.setattr(L1Norm, name, counted)
+        sup = SuperiorizationSchedule(beta0=0.5, decay=0.9, steps=steps)
+        trace = superiorized_run(ball_schedule, unit_relax, L1Norm(), sup, [3.0, 4.0], stop=default_stop)
+        assert trace.iterations > 1
+        assert calls == {"evaluate": trace.iterations * steps + 1, "subgradient": trace.iterations * steps}
 
     def test_perturbed_point_within_budget(self, interval_schedule, unit_relax, default_stop):
         phi = WeightedSquaredNorm(np.array([0.0]))
