@@ -534,13 +534,10 @@ def write_trace_csv(
     sig_col = dim + 3
     step_cols = [dim + 1, dim + 2, dim + 4, dim + 5] + ([dim + 7] if superiorized else [])
     ncols = len(header)
-    plans = {sig: i for i, sig in enumerate(dict.fromkeys(trace.plan_signatures))}
-    labels = [signature_str(sig).encode() for sig in plans] + [b""]
-    width = max(CELL, *map(len, labels)) + 1
-    label_cells = np.array(labels, dtype=f"S{width}").view(np.uint8).reshape(len(labels), width)
-    label_lens = np.array([len(label) for label in labels])
+    plans = {sig: signature_str(sig).encode() for sig in dict.fromkeys(trace.plan_signatures)}
     # the final row takes the empty label
-    label_of = np.array([plans[sig] for sig in trace.plan_signatures] + [len(labels) - 1], dtype=np.intp)
+    labels = [plans[sig] for sig in trace.plan_signatures] + [b""]
+    width = CELL + 1  # a label can be longer than any number; it does not widen the cells
     ends = np.full(ncols, ord(","), dtype=np.uint8)
     ends[-1] = ord("\n")
     with open(path, "wb") as fh:
@@ -561,17 +558,23 @@ def write_trace_csv(
             if superiorized:
                 values[:, dim + 6] = trace.phi_values[r0:r0 + rows]
                 values[:steps, dim + 7] = trace.perturb_budget_remaining[r0:r0 + steps]
-            # the signature column is formatted as 0.0 and then overwritten
+            # the signature column is formatted as 0.0 and then written empty
             cells = np.empty((rows, ncols, width), dtype=np.uint8)
             lens = format_17g(values.reshape(-1), cells.reshape(-1, width)).reshape(rows, ncols)
-            cells[:, sig_col] = label_cells[label_of[r0:r0 + rows]]
-            lens[:, sig_col] = label_lens[label_of[r0:r0 + rows]]
+            lens[:, sig_col] = 0
             lens[steps:, step_cols] = 0
             if fejer_slack_min is None:
                 lens[:, dim + 5] = 0
             cells.reshape(-1)[np.arange(rows * ncols) * width + lens.reshape(-1)] = np.tile(ends, rows)
-            small = np.min_scalar_type(width)  # a narrow type halves the cost of the mask
-            fh.write(cells[np.arange(width, dtype=small) <= lens.astype(small)[..., None]])
+            # a one-byte type halves the cost of the mask
+            text = memoryview(cells[np.arange(width, dtype=np.uint8) <= lens.astype(np.uint8)[..., None]])
+            # each row's label goes in before the comma that ends its signature cell
+            row_ends = np.cumsum(lens.sum(axis=1) + ncols)
+            cuts = [0, *(row_ends - lens[:, sig_col:].sum(axis=1) - (ncols - sig_col)).tolist(), len(text)]
+            pieces = [b""] * (2 * rows + 1)
+            pieces[::2] = [text[a:b] for a, b in zip(cuts, cuts[1:])]
+            pieces[1::2] = labels[r0:r0 + rows]
+            fh.write(b"".join(pieces))
 
 
 def summary_doc(

@@ -10,7 +10,8 @@ A ``run`` that exits 0 writes ``trace.csv`` as ``.17g`` text next to
 ``summary.json``, and a row may ask that its ``trace.csv`` equal, or differ
 from, another row's.  A row with a ``legacy`` id runs under that id in
 ``TestCli`` of ``test_harness.py``, where it was once a test of its own
-(:func:`legacy_tests`).
+(:func:`legacy_tests`); every row under such an id is checked, and the test
+names each row that failed.
 """
 
 from __future__ import annotations
@@ -451,18 +452,27 @@ def test_exit_code(key, tmp_path, monkeypatch, capsys):
     check(key, tmp_path, monkeypatch, capsys)
 
 
+def check_all(keys: list, where: Path, monkeypatch, capsys) -> None:
+    """Check every row of ``keys``, so that a failing row hides none after it."""
+    failed = []
+    for i, key in enumerate(keys):
+        try:
+            check(key, where / str(i), monkeypatch, capsys)
+        except AssertionError as exc:
+            failed.append(f"{key}: {exc}")
+    assert not failed, "\n".join(failed)
+
+
 def _legacy_test(params: dict):
     """A test method that runs, for its parameter, the rows ``params`` names."""
     if list(params) == [""]:
         def test(self, tmp_path, monkeypatch, capsys):
-            for i, key in enumerate(params[""]):
-                check(key, tmp_path / str(i), monkeypatch, capsys)
+            check_all(params[""], tmp_path, monkeypatch, capsys)
         return test
 
     @pytest.mark.parametrize("param", list(params))
     def test(self, param, tmp_path, monkeypatch, capsys):
-        for i, key in enumerate(params[param]):
-            check(key, tmp_path / str(i), monkeypatch, capsys)
+        check_all(params[param], tmp_path, monkeypatch, capsys)
     return test
 
 

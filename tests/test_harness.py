@@ -4,6 +4,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from dataclasses import replace
 
@@ -600,6 +601,21 @@ class TestTraceCsvBytes:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path, fejer_slack_min=slacks)
         assert path.read_bytes() == reference_trace_csv(trace, slacks)
+
+    def test_a_long_plan_label_keeps_the_cells_narrow(self, tmp_path):
+        # a 7691-character label over a 1.6 MB file: a block of 128 rows with
+        # every cell as wide as the label took 54 MB, one label per row 1.3 MB
+        trace = synthetic_trace(201, "superiorized", dim=20)
+        trace = replace(trace, plan_signatures=(simultaneous_plan(300).signature(),) * trace.iterations)
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == reference_trace_csv(trace)
+        assert peak < 8 * 2**20, peak
 
     @pytest.mark.parametrize(
         "column", ["lambdas", "plan_signatures", "phi_values", "perturb_budget_remaining", "phi_alone", "fejer"]
