@@ -64,14 +64,17 @@ from .superiorize import NonFiniteObjectiveError, superiorized_run
 __all__ = ["main"]
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+def _apply_overrides(config: ExperimentConfig, args, swept: Optional[tuple] = None) -> ExperimentConfig:
     """Apply the override flags in ``args`` to a copy of the config document and
-    parse it, so that ``config.hash`` identifies the run; a subcommand may lack
-    some of the flags."""
+    parse it once, so that ``config.hash`` identifies the run; a subcommand may
+    lack some of the flags.  ``swept``, a (dotted key, value) pair of ``sweep``,
+    is set in the same copy before the flags."""
     seed, max_iters, tol = (getattr(args, name, None) for name in ("seed", "max_iters", "tol"))
-    if seed is None and max_iters is None and tol is None:
+    if swept is None and seed is None and max_iters is None and tol is None:
         return config
     doc = copy.deepcopy(config.raw)
+    if swept is not None:
+        _set_by_path(doc, *swept)
     if seed is not None:
         doc["seed"] = seed
         if "seed" in doc.get("perturbation", {}):
@@ -81,7 +84,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if tol is not None:
         doc.setdefault("tolerances", {})["conv_tol"] = tol
         doc.setdefault("stop", {})["step_tol"] = tol
-    return parse_config(doc)
+    return parse_config(doc, Path(args.config).parent)  # a swept include is read next to the config
 
 
 def _execute(config: ExperimentConfig):
@@ -231,9 +234,7 @@ def _cmd_sweep(args) -> int:
             values.append(tok)
     rows = []
     for i, value in enumerate(values):
-        doc = copy.deepcopy(base.raw)
-        _set_by_path(doc, args.param, value)
-        config = _apply_overrides(parse_config(doc, Path(args.config).parent), args)
+        config = _apply_overrides(base, args, (args.param, value))
         out_dir = Path(args.out) / f"sweep_{i}" if args.out else None
         if out_dir is not None:
             summary = _run_outputs(config, out_dir, quiet=True)

@@ -168,8 +168,8 @@ class SampleSpec:
             raise ValueError("SampleSpec.dim must be >= 1")
         if self.count < 1:
             raise ValueError("SampleSpec.count must be >= 1")
-        if not self.low < self.high:
-            raise ValueError("SampleSpec requires low < high")
+        if not (self.low < self.high and math.isfinite(self.high - self.low)):
+            raise ValueError("SampleSpec requires low < high with a finite span")
         if self.seed < 0:
             raise ValueError("SampleSpec.seed must be >= 0")
 

@@ -103,8 +103,8 @@ class GridSpec:
     points: int = 41
 
     def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise ValueError("grid requires low < high")
+        if not (self.low < self.high and np.isfinite(self.high - self.low)):
+            raise ValueError("grid requires low < high with a finite span")
         if self.points < 2:
             raise ValueError("grid needs at least 2 points per axis")
 
@@ -274,7 +274,9 @@ class ExperimentConfig:
     live in the problem's dimension, and every declared alpha of a set or
     schedule operator lies in (0, 2].  At most one of ``perturb`` and ``sup``
     is set, and ``objective`` exactly when ``sup`` is: ``sup`` makes the run
-    superiorized, ``perturb`` perturbed.
+    superiorized, ``perturb`` perturbed.  ``raw``, the resolved document, and
+    so ``hash`` are set only by :func:`parse_config`; ``dataclasses.replace``
+    gives a config without them.
     """
 
     problem: ProblemInstance
@@ -287,7 +289,7 @@ class ExperimentConfig:
     perturb: Optional[PerturbationSchedule] = None
     objective: Optional[ObjectiveFunction] = None
     sup: Optional[SuperiorizationSchedule] = None
-    raw: dict = field(default_factory=dict, repr=False)
+    raw: Optional[dict] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dim = self.problem.dim
@@ -307,8 +309,8 @@ class ExperimentConfig:
             raise ConfigError("'objective' and 'sup' are set together or not at all")
 
     @property
-    def hash(self) -> str:
-        return config_hash(self.raw)
+    def hash(self) -> Optional[str]:
+        return None if self.raw is None else config_hash(self.raw)
 
     def plan_weights(self) -> tuple[float, ...]:
         """Per-set weights for proximity oracles.
@@ -474,7 +476,7 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
                 raise ConfigError("superiorization needs an 'objective'")
             objective = _parse_objective(s["objective"])
             sup = SuperiorizationSchedule(**_fields(s, beta0=_as_float, decay=_as_float, steps=_as_int))
-        return ExperimentConfig(
+        config = ExperimentConfig(
             problem=problem,
             schedule=schedule,
             relax=relax,
@@ -485,8 +487,9 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> ExperimentConfig:
             perturb=perturb,
             objective=objective,
             sup=sup,
-            raw=doc,
         )
+        object.__setattr__(config, "raw", doc)  # only the parser states the document
+        return config
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows

@@ -332,6 +332,10 @@ ROWS: dict[str, Row] = {
     **malformed(
         "composition_dimensions", {"problem.sets.1": {"kind": "composition", "ops": [R2_BOX, R3_BOX]}},
         "error: composition mixes dimensions [2, 3]", R2_DOC),
+    # |x0| near the float maximum: a grid of span 2 |x0| overflows, so there is no grid to search
+    "oracle_grid_span_overflows": Row(
+        ("oracle",), 2, change={"x0": [1e308]}, err="error: grid requires low < high with a finite span",
+        seconds=1.0),
     "oracle_above_dimension_3": Row(
         ("oracle",), 2, DIM_4, err="error: oracle restricted to dimension <= 3",
         legacy="test_oracle_above_dimension_3_exits_2"),

@@ -23,11 +23,13 @@ from conftest import (
     with_key,
 )
 from gdsa import harness
+from gdsa import cli
 from gdsa.cli import main
 from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances, norm
 from gdsa.engine import IterationTrace, PerturbationSchedule, RelaxationSchedule, StopRule, run
 from gdsa.harness import (
     ConfigError,
+    ExperimentConfig,
     GridSpec,
     OracleIterationCapError,
     ProblemInstance,
@@ -37,6 +39,7 @@ from gdsa.harness import (
     parse_config,
     proximity_argmin_oracle,
     proximity_value,
+    summary_doc,
     write_summary_json,
     write_trace_csv,
 )
@@ -479,6 +482,21 @@ class TestConfig:
         c2 = parse_config(json.loads(json.dumps(CONFIG_DOC)))
         assert c1.hash == c2.hash
 
+    def test_the_constructor_takes_no_document(self):
+        parsed = parse_config(json.loads(json.dumps(CONFIG_DOC)))
+        with pytest.raises(TypeError, match="raw"):
+            ExperimentConfig(parsed.problem, parsed.schedule, parsed.relax, parsed.x0, raw={})
+        assert ExperimentConfig(parsed.problem, parsed.schedule, parsed.relax, parsed.x0).hash is None
+
+    def test_a_replaced_config_names_no_document(self):
+        parsed = parse_config(json.loads(json.dumps(CONFIG_DOC)))
+        replaced = replace(parsed, seed=9)
+        # the parsed document states seed 17: its hash must not stand next to seed 9
+        assert parsed.hash == harness.config_hash(CONFIG_DOC) and replaced.hash is None
+        trace = run(replaced.schedule, replaced.relax, replaced.x0, stop=replaced.stop)
+        summary = summary_doc(replaced, trace)
+        assert summary["seed"] == 9 and summary["config_hash"] is None
+
 
 def reference_trace_csv(trace, fejer_slack_min=None) -> bytes:
     """The per-value trace writer that write_trace_csv must match byte for byte."""
@@ -791,6 +809,22 @@ class TestCli:
             run_dir = tmp_path / "sweep" / f"sweep_{i}"
             assert (run_dir / "trace.csv").stat().st_size > 0
             assert json.loads((run_dir / "summary.json").read_text())["iters"] > 0
+
+    def test_sweep_parses_each_value_once(self, config_file, tmp_path, monkeypatch):
+        parsed = []
+
+        def counting_parse(doc, *args):
+            parsed.append(json.loads(json.dumps(doc)))
+            return parse_config(doc, *args)
+
+        monkeypatch.setattr(cli, "parse_config", counting_parse)
+        argv = ["sweep", str(config_file), "--param", "relaxation.constant", "--values", "0.5,1.0", "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
+        assert len(parsed) == 2
+        for i, value in enumerate((0.5, 1.0)):
+            stated = with_key(with_key(CONFIG_DOC, "relaxation.constant", value), "seed", 3)
+            summary = json.loads((tmp_path / "sweep" / f"sweep_{i}" / "summary.json").read_text())
+            assert parsed[i] == stated and summary["config_hash"] == harness.config_hash(stated)
 
     def test_run_prints_its_two_progress_lines(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -84,6 +84,9 @@ CASES = {
     "SampleSpec dim": (lambda: SampleSpec(dim=0), ValueError, "dim must be >= 1"),
     "SampleSpec count": (lambda: SampleSpec(dim=1, count=0), ValueError, "count must be >= 1"),
     "SampleSpec low < high": (lambda: SampleSpec(dim=1, low=1.0, high=1.0), ValueError, "low < high"),
+    # an infinite span would draw inf and nan, or overflow numpy's sampler
+    "SampleSpec low -inf": (lambda: SampleSpec(dim=1, low=-np.inf), ValueError, "low < high with a finite span"),
+    "SampleSpec high inf": (lambda: SampleSpec(dim=1, high=np.inf), ValueError, "low < high with a finite span"),
     "RelaxationSchedule epsilon": (
         lambda: RelaxationSchedule(epsilon=0.0, constant=1.0), ValueError, "epsilon must lie"),
     "RelaxationSchedule without a kind": (
@@ -125,6 +128,11 @@ CASES = {
     "ProblemInstance without sets": (
         lambda: ProblemInstance(dim=1, projectors=()), ValueError, "at least one set"),
     "GridSpec low < high": (lambda: GridSpec(low=1.0, high=1.0), ValueError, "grid requires low < high"),
+    # an infinite cell would halve the pattern search's step forever
+    "GridSpec low -inf": (lambda: GridSpec(low=-np.inf), ValueError, "grid requires low < high with a finite span"),
+    "GridSpec high inf": (lambda: GridSpec(high=np.inf), ValueError, "grid requires low < high with a finite span"),
+    "GridSpec span past the float range": (
+        lambda: GridSpec(low=-1e308, high=1e308), ValueError, "grid requires low < high with a finite span"),
     "GridSpec points": (lambda: GridSpec(points=1), ValueError, "at least 2 points"),
     "constrained_min_oracle above dimension 3": (
         lambda: constrained_min_oracle(
