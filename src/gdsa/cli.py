@@ -9,9 +9,9 @@ Subcommands:
 * ``oracle <config.json>``  emit target-set witnesses and constrained minimizers
 
 Exit codes: 0 success; 1 a verification failure, a non-finite iterate or
-objective, or an oracle out of budget; 2 a malformed configuration, a
-``run`` whose relaxation leaves its range, or a flag the subcommand does not
-read.
+objective, or an oracle out of budget; 2 a malformed configuration (a
+relaxation outside [eps, 1 + rho - eps] among them) or a flag the subcommand
+does not read.
 ``tests/test_exit_codes.py`` holds the contract: one row per case.
 """
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from .engine import (
     NonFiniteIterateError,
-    RelaxationRangeError,
     fejer_monitor,
     run,
 )
@@ -195,12 +194,7 @@ def _cmd_verify(args) -> int:
         rho_op = (2.0 - alpha) / alpha
         check_operator(f"plan {signature_str(sig)}", op, rho_op, f"{rho_op:g}-firmly nonexpansive")
 
-    try:
-        config.relax.validate(rho)
-        report("relaxation schedule within range", True, f"rho={rho:g}")
-    except RelaxationRangeError as exc:
-        report("relaxation schedule within range", False, str(exc))
-        return 1 if failures else 0
+    report("relaxation schedule within range", True, f"rho={rho:g}")  # the config would not parse otherwise
 
     fejer = _certified_fejer(config)
     if fejer is None:
@@ -232,9 +226,9 @@ def _cmd_sweep(args) -> int:
             values.append(json.loads(tok))
         except json.JSONDecodeError:
             values.append(tok)
+    configs = [_apply_overrides(base, args, (args.param, value)) for value in values]  # a bad value writes nothing
     rows = []
-    for i, value in enumerate(values):
-        config = _apply_overrides(base, args, (args.param, value))
+    for i, (value, config) in enumerate(zip(values, configs)):
         out_dir = Path(args.out) / f"sweep_{i}" if args.out else None
         if out_dir is not None:
             summary = _run_outputs(config, out_dir, quiet=True)
@@ -312,7 +306,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (NonFiniteIterateError, NonFiniteObjectiveError, OracleIterationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # ConfigError and RelaxationRangeError among them
+    except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

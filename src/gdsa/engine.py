@@ -381,18 +381,39 @@ def fejer_monitor(
     Witnesses must be caller-certified common fixed points of all scheduled
     averaged operators; the coefficient is eps / (1 + rho - eps).  Raises
     :class:`DimensionMismatchError` if the witnesses are not in the trace's space.
+
+    Iterates and witnesses are finite, so a slack that comes out non-finite has
+    overflowed a square: only such steps are recomputed, on operands scaled by
+    a power of two, and a slack past the float range is then +-inf, not NaN.
     """
     xs = trace.iterates
     _check_dim("witness", witnesses.points.shape[-1], xs.shape[-1])
     coeff = epsilon / (1.0 + rho - epsilon)
-    steps2 = np.sum((xs[1:] - xs[:-1]) ** 2, axis=-1)
-    per_step_min = np.full(trace.iterations, np.inf)
-    for z in witnesses.points:
-        d2 = np.sum((xs - z) ** 2, axis=-1)
-        slack = d2[:-1] - coeff * steps2 - d2[1:]
-        per_step_min = np.minimum(per_step_min, slack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps2 = np.sum((xs[1:] - xs[:-1]) ** 2, axis=-1)
+        per_step_min = np.full(trace.iterations, np.inf)
+        for z in witnesses.points:
+            d2 = np.sum((xs - z) ** 2, axis=-1)
+            slack = d2[:-1] - coeff * steps2 - d2[1:]
+            per_step_min = np.minimum(per_step_min, slack)
+    overflowed = np.flatnonzero(~np.isfinite(per_step_min))
+    if overflowed.size:
+        per_step_min[overflowed] = _scaled_slacks(xs[overflowed], xs[overflowed + 1], witnesses.points, coeff)
     min_slack = float(np.min(per_step_min)) if trace.iterations else 0.0
     return FejerReport(min_slack >= -tolerances.slack_tol, min_slack, _frozen(per_step_min))
+
+
+def _scaled_slacks(x: np.ndarray, x_next: np.ndarray, points: np.ndarray, coeff: float) -> np.ndarray:
+    """The least Fejer slack of each step ``x -> x_next`` (rows) over ``points``,
+    with each step's operands scaled by 2^-e, e the exponent of their largest
+    entry, so that no square overflows; the slack is scaled back by 2^(2e)."""
+    e = np.frexp(np.maximum(np.abs(np.hstack([x, x_next])).max(axis=-1), np.abs(points).max()))[1]
+    x, x_next = np.ldexp(x, -e[:, None]), np.ldexp(x_next, -e[:, None])
+    z = np.ldexp(points, -e[:, None, None])
+    d2, d2_next = (np.sum((v[:, None] - z) ** 2, axis=-1) for v in (x, x_next))
+    slack = d2 - coeff * np.sum((x_next - x) ** 2, axis=-1)[:, None] - d2_next
+    with np.errstate(over="ignore"):
+        return np.ldexp(slack.min(axis=-1), 2 * e)
 
 
 @dataclass(frozen=True)

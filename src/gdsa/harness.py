@@ -34,7 +34,9 @@ from .operators import (
     BallProjection, BoxProjection, Composition, ConvexCombination, HalfspaceProjection, HyperplaneProjection,
     Identity, Operator, Relaxation, apply, propagate_alpha, residual,
 )
-from .strings import ControlSchedule, StringPlan, averaged_operator, is_fit, signature_str, simultaneous_plan
+from .strings import (
+    ControlSchedule, StringPlan, averaged_operator, is_fit, rho_constant, signature_str, simultaneous_plan,
+)
 from .superiorize import L1Norm, MaxOfAffine, ObjectiveFunction, SuperiorizationSchedule, WeightedSquaredNorm
 
 __all__ = [
@@ -271,8 +273,10 @@ class ExperimentConfig:
     """Everything one run needs, parsed from a single JSON document.
 
     The schedule operators, fixed perturbation directions, objective and x0
-    live in the problem's dimension, and every declared alpha of a set or
-    schedule operator lies in (0, 2].  At most one of ``perturb`` and ``sup``
+    live in the problem's dimension, every declared alpha of a set or
+    schedule operator lies in (0, 2], and every relaxation value lies in
+    [eps, 1 + rho - eps] for the schedule's rho (else
+    :class:`RelaxationRangeError`).  At most one of ``perturb`` and ``sup``
     is set, and ``objective`` exactly when ``sup`` is: ``sup`` makes the run
     superiorized, ``perturb`` perturbed.  ``raw``, the resolved document, and
     so ``hash`` are set only by :func:`parse_config`; ``dataclasses.replace``
@@ -296,6 +300,7 @@ class ExperimentConfig:
         _check_dim("schedule operator", self.schedule.dim, dim)
         for op in self.problem.projectors + self.schedule.operators:
             propagate_alpha(op)  # checks each declared alpha, whether or not a run reaches it
+        self.relax.validate(rho_constant(self.schedule))  # every lam in [eps, 1 + rho - eps], run or not
         if self.perturb is not None:
             self.perturb.direction_stream(dim)  # refuses a direction of another dimension
         if self.objective is not None and self.objective.dim is not None:

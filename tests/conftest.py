@@ -81,11 +81,6 @@ def two_ball():
 
 
 @pytest.fixture
-def segment():
-    return segment_problem()
-
-
-@pytest.fixture
 def overlapping():
     return overlapping_ball_problem()
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -405,7 +405,58 @@ class TestTraceMemory:
         assert trace.iterates.base.shape == (stop.max_iters + 1, self.N)
 
 
+def reference_fejer_slacks(trace, points, epsilon, rho) -> np.ndarray:
+    """The monitor's per-step least slacks, squared as they stand: an overflowing
+    square turns a slack into inf or NaN."""
+    xs = trace.iterates
+    coeff = epsilon / (1.0 + rho - epsilon)
+    steps2 = np.sum((xs[1:] - xs[:-1]) ** 2, axis=-1)
+    per_step_min = np.full(trace.iterations, np.inf)
+    for z in points:
+        d2 = np.sum((xs - z) ** 2, axis=-1)
+        slack = d2[:-1] - coeff * steps2 - d2[1:]
+        per_step_min = np.minimum(per_step_min, slack)
+    return per_step_min
+
+
+def fejer_cases() -> list:
+    """Traces and witness points: the two intervals against z = 0, and the mixed
+    schedule in R^150 (past numpy's 128-wide pairwise-summation block) against
+    three points that need not be fixed."""
+    stop = StopRule(1e-8, 10, 2000)
+    intervals = ControlSchedule(
+        operators=(BoxProjection(np.array([-3.0]), np.array([-1.0])), BoxProjection(np.array([1.0]), np.array([3.0]))),
+        cycle=(simultaneous_plan(2),),
+    )
+    rng = np.random.default_rng(11)
+    return [
+        (run(intervals, RelaxationSchedule(constant=1.0), [7.3], stop=stop), np.zeros((1, 1))),
+        (run(mixed_schedule(150), RelaxationSchedule(constant=0.9), 3.0 * rng.standard_normal(150), stop=stop),
+         rng.standard_normal((3, 150))),
+    ]
+
+
 class TestFejerMonitor:
+    @pytest.mark.parametrize("case", range(2))
+    def test_finite_slacks_keep_the_bits_of_the_plain_loop(self, case):
+        trace, points = fejer_cases()[case]
+        report = fejer_monitor(trace, FixedPointWitness(points), 0.05, 1.0)
+        expected = reference_fejer_slacks(trace, points, 0.05, 1.0)
+        assert np.all(np.isfinite(expected)) and report.per_step_min.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_a_trace_scaled_past_the_float_range_scales_its_slacks_exactly(self, case):
+        # x -> 2^512 x scales each slack by 2^1024: finite where that fits, +inf where it does not
+        trace, points = fejer_cases()[case]
+        scaled, scaled_points = replace(trace, iterates=np.ldexp(trace.iterates, 512)), np.ldexp(points, 512)
+        report = fejer_monitor(scaled, FixedPointWitness(scaled_points), 0.05, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.ldexp(reference_fejer_slacks(trace, points, 0.05, 1.0), 1024)
+            squared = reference_fejer_slacks(scaled, scaled_points, 0.05, 1.0)
+        assert not np.all(np.isfinite(squared))  # the plain loop overflows here
+        assert report.per_step_min.tobytes() == expected.tobytes()
+        assert np.isfinite(report.min_slack) and not np.any(np.isnan(report.per_step_min))
+
     def test_constant_trace_nonnegative(self, interval_schedule, unit_relax):
         trace = run(interval_schedule, unit_relax, [0.0], stop=StopRule(1e-8, 10, 100))
         report = fejer_monitor(trace, FixedPointWitness(np.array([[0.0]])), 0.05, 1.0)

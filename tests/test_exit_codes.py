@@ -1,12 +1,13 @@
 """The exit-code contract of the ``gdsa`` CLI, one row per invocation.
 
 0 success; 1 a verification failure, a diverging run or an oracle out of
-budget; 2 a malformed config or a flag the subcommand does not read.  A row
-writes its config to ``config.json`` in a fresh directory, calls ``cli.main``
-(one row runs ``python -m gdsa.cli``) and checks the code and fragments of
-stderr and stdout.  A failing row prints nothing to stdout unless it names a
-fragment, and leaves no ``out`` directory, where ``run`` writes by default.
-A ``run`` that exits 0 writes ``trace.csv`` as ``.17g`` text next to
+budget; 2 a malformed config (a relaxation outside [eps, 1 + rho - eps]
+among them) or a flag the subcommand does not read.  A row writes its config
+to ``config.json`` in a fresh directory, calls ``cli.main`` (one row runs
+``python -m gdsa.cli``) and checks the code and fragments of stderr and
+stdout.  A failing row prints nothing to stdout unless it names a fragment,
+and leaves no ``out`` directory, where ``run`` writes by default.  A ``run``
+that exits 0 writes ``trace.csv`` as ``.17g`` text next to a strict-JSON
 ``summary.json``, and a row may ask that its ``trace.csv`` equal, or differ
 from, another row's.  A row with a ``legacy`` id runs under that id in
 ``TestCli`` of ``test_harness.py``, where it was once a test of its own
@@ -237,9 +238,6 @@ ROWS: dict[str, Row] = {
         ("verify",), 1, change={"problem.sets.0": {"kind": "relaxation", "lam": 0.5, "inner": BOX}},
         out=("[FAIL] set 1: cutter  witness point is not fixed", "[ok  ] set 2: cutter", "fejer monitor"),
         legacy="test_verify_reports_a_set_that_is_not_idempotent"),
-    "verify_lambda_out_of_range": Row(
-        ("verify", "--quiet"), 1, change={"relaxation.constant": 2.0},
-        out=("[FAIL] relaxation schedule within range  relaxation value 2 outside [0.05, 1.95]",)),
     # exit 1: the run diverges, or the oracle runs out of budget
     "superiorized_overflow": Row(
         ("run", "--quiet"), 1, ONE_SET_R2,
@@ -260,14 +258,30 @@ ROWS: dict[str, Row] = {
          "perturbation": {"beta0": 1e10, "decay": 0.5}},
         "error: non-finite iterate at step 0", errstate={"over": "ignore", "invalid": "ignore"}),
     "max_iters_reached": Row(("run", "--quiet", "--max-iters", "3"), 0),  # "converged": false, not a failure
+    # ||x0 - z||^2 overflows: the Fejer slack of step 0 is +inf, not NaN, and summary.json stays strict JSON
+    "fejer_slack_overflows": Row(("run", "--quiet"), 0, change={"x0": [8e307]}, errstate={"over": "ignore"}),
     "oracle_out_of_budget": Row(
         ("oracle",), 1, err="error: no fixed point within 1 plain iterations", patch={"_ORACLE_PICARD_CAP": 1}),
     "oracle_on_a_reflection": Row(
         ("oracle",), 1, REFLECTION, err="alpha", seconds=1.0, legacy="test_oracle_on_a_reflection_exits_1_at_once"),
     # exit 2: the config, or the run it states, is malformed
+    # lam = 1 + rho: outside the range closed minus eps, refused where the config is built
     "lambda_out_of_range": Row(
-        ("run", "--quiet"), 2, change={"relaxation.constant": 2.0},  # 1 + rho: outside the range closed minus eps
+        ("run", "--quiet"), 2, change={"relaxation.constant": 2.0},
         err="error: relaxation value 2 outside [0.05, 1.95] (rho=1)", legacy="test_out_of_range_lambda_exits_2"),
+    **{
+        f"{cmd}_lambda_out_of_range": Row(
+            (cmd,), 2, change={"relaxation.constant": 2.0},
+            err="error: relaxation value 2 outside [0.05, 1.95] (rho=1)")
+        for cmd in ("verify", "oracle")
+    },
+    # sweep parses every value before it runs the first: no out/sweep_0 is left behind
+    "sweep_lambda_out_of_range": Row(
+        ("sweep", "--param", "relaxation.constant", "--values", "1.0,2.0", "--out", "out"), 2,
+        err="error: relaxation value 2 outside [0.05, 1.95] (rho=1)"),
+    "sweep_epsilon_out_of_range": Row(
+        ("sweep", "--param", "relaxation.epsilon", "--values", "0.05,1.5", "--out", "out"), 2,
+        err="error: epsilon must lie in (0, 1]"),
     **malformed("not_json", {}, "error: cannot read config", "{not json", legacy="test_malformed_config_exits_2"),
     **malformed(
         "missing_keys", {}, "error: config is missing 'schedule'", {"problem": CONFIG_DOC["problem"]},
@@ -402,6 +416,10 @@ def assert_17g_text(path: Path) -> None:
         assert all(row[header.index("phi_value")] for row in rows)
 
 
+def not_strict_json(constant: str):
+    raise AssertionError(f"summary.json is not strict JSON: {constant}")
+
+
 def invoke(row: Row, where: Path, monkeypatch, capsys) -> tuple:
     """The exit code, stdout and stderr of ``row``'s call, its config written to ``where``."""
     where.mkdir(parents=True, exist_ok=True)
@@ -418,6 +436,7 @@ def invoke(row: Row, where: Path, monkeypatch, capsys) -> tuple:
         done = subprocess.run([sys.executable, "-m", "gdsa.cli", *argv], capture_output=True, text=True, env=env)
         return done.returncode, done.stdout, done.stderr
     with monkeypatch.context() as patch, np.errstate(**row.errstate):
+        patch.chdir(where)  # a relative --out lands next to config.json
         for name, value in row.patch.items():
             patch.setattr(harness, name, value)
         start = time.perf_counter()
@@ -441,7 +460,7 @@ def check(key: str, where: Path, monkeypatch, capsys) -> None:
     trace = where / "out" / "trace.csv"
     if row.argv[0] == "run" and not row.code:
         assert_17g_text(trace)
-        assert trace.with_name("summary.json").exists(), key
+        json.loads(trace.with_name("summary.json").read_text(), parse_constant=not_strict_json)
     for other, equal in row.same.items():
         ref = where / "same" / other
         assert invoke(ROWS[other], ref, monkeypatch, capsys)[0] == 0

@@ -26,7 +26,7 @@ from gdsa import harness
 from gdsa import cli
 from gdsa.cli import main
 from gdsa.core import DEFAULT_TOLERANCES, DimensionMismatchError, SampleSpec, Tolerances, norm
-from gdsa.engine import IterationTrace, PerturbationSchedule, RelaxationSchedule, StopRule, run
+from gdsa.engine import IterationTrace, PerturbationSchedule, RelaxationRangeError, RelaxationSchedule, StopRule, run
 from gdsa.harness import (
     ConfigError,
     ExperimentConfig,
@@ -496,6 +496,12 @@ class TestConfig:
         trace = run(replaced.schedule, replaced.relax, replaced.x0, stop=replaced.stop)
         summary = summary_doc(replaced, trace)
         assert summary["seed"] == 9 and summary["config_hash"] is None
+
+    def test_a_replaced_relaxation_out_of_range_is_refused(self):
+        # lam = 1 + rho with rho = 1: outside [eps, 1 + rho - eps], however the config is built
+        parsed = parse_config(CONFIG_DOC)
+        with pytest.raises(RelaxationRangeError, match=r"relaxation value 2 outside \[0.05, 1.95\] \(rho=1\)"):
+            replace(parsed, relax=RelaxationSchedule(epsilon=0.05, constant=2.0))
 
 
 def reference_trace_csv(trace, fejer_slack_min=None) -> bytes:
