@@ -87,11 +87,31 @@ def _as_floats(values) -> np.ndarray:
 def norm(x) -> float:
     """Euclidean norm sqrt(<x, x>); reduces over the last axis for batches.
 
-    A stack's row norms equal the rows' single-vector norms bit for bit.
+    A stack's row norms equal the rows' single-vector norms bit for bit.  A
+    finite row whose sum of squares overflows is recomputed by
+    :func:`_scaled_norms`, so its norm is inf only past the float range; a row
+    holding inf or NaN keeps an inf or NaN norm.
     """
     x = np.asarray(x, dtype=float)
     s = np.add.reduce(x * x, axis=-1)
-    return math.sqrt(s) if x.ndim == 1 else np.sqrt(s)
+    if x.ndim == 1:
+        if math.isfinite(s) or not np.all(np.isfinite(x)):
+            return math.sqrt(s)
+        return float(_scaled_norms(x[None])[0])
+    r = np.sqrt(s)
+    if not np.isfinite(s).all():
+        redo = ~np.isfinite(s) & np.all(np.isfinite(x), axis=-1)
+        r[redo] = _scaled_norms(x[redo])
+    return r
+
+
+def _scaled_norms(rows: np.ndarray) -> np.ndarray:
+    """The norms of finite ``rows``, each row scaled by 2^-e (e the exponent of
+    its largest entry) before it is squared and its norm scaled back by 2^e."""
+    e = np.frexp(np.abs(rows).max(axis=-1))[1]
+    y = np.ldexp(rows, -e[..., None])
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(np.add.reduce(y * y, axis=-1)), e)
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:

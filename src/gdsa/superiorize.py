@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DEFAULT_TOLERANCES, Tolerances, _check_dim, _common_dim, _frozen, as_vector, norm
-from .engine import IterationTrace, RelaxationSchedule, StopRule, _Geometric, _run_loop
+from .engine import IterationTrace, RelaxationSchedule, StopRule, _Geometric, _run_loop, _scaled_slacks
 from .strings import ControlSchedule
 
 __all__ = [
@@ -288,6 +288,11 @@ def strict_fejer_monitor(
 
     The witness must be oracle-certified as a minimizer of the objective over
     the target set.  Requires the trace to record at least k0 + 2 iterates.
+
+    A decrement that comes out non-finite has overflowed a square, as in
+    :func:`~gdsa.engine.fejer_monitor`: only such steps are recomputed on
+    operands scaled by a power of two, so a decrement past the float range is
+    +-inf, not NaN.
     """
     if k0 < 0:
         raise ValueError("k0 must be >= 0")
@@ -295,8 +300,14 @@ def strict_fejer_monitor(
         raise ValueError(f"trace too short: needs at least {k0 + 2} iterates")
     z = as_vector(cmin_witness)
     _check_dim("witness", z.size, trace.iterates.shape[-1])
-    d2 = np.sum((trace.iterates - z) ** 2, axis=-1)
-    decrements = _frozen(d2[:-1] - d2[1:])
+    xs = trace.iterates
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.sum((xs - z) ** 2, axis=-1)
+        decrements = d2[:-1] - d2[1:]
+    bad = np.flatnonzero(~np.isfinite(decrements))
+    if bad.size:
+        decrements[bad] = _scaled_slacks(xs[bad], xs[bad + 1], z[None], 0.0)
+    decrements = _frozen(decrements)
     if float(np.sqrt(d2[-1])) <= tolerances.conv_tol:
         return StrictFejerReport(None, True, decrements)
     ok = bool(np.all(decrements[k0:] > tolerances.slack_tol))

@@ -39,6 +39,25 @@ def test_norm_of_a_stack_equals_row_norms_bitwise(n):
     assert norm(rows).tobytes() == singles.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 8, 129, 1000])
+def test_a_norm_whose_squares_overflow_scales_exactly(n):
+    # x -> 2^1000 x overflows every square; the norm scales by exactly 2^1000, rows as the stack
+    rows = np.random.default_rng(n).standard_normal((3, n))
+    scaled = np.ldexp(rows, 1000)
+    with np.errstate(over="ignore"):
+        assert [norm(row) for row in scaled] == [np.ldexp(norm(row), 1000) for row in rows]
+        assert norm(scaled).tobytes() == np.ldexp(norm(rows), 1000).tobytes()
+
+
+def test_a_row_holding_inf_or_nan_keeps_a_non_finite_norm():
+    rows = np.array([[np.inf, 1.0], [np.nan, 1e300], [1e300, 1e300], [3.0, 4.0]])
+    with np.errstate(over="ignore"):
+        singles = [norm(row) for row in rows]
+        stacked = norm(rows)
+    assert singles[0] == np.inf and np.isnan(singles[1]) and np.isfinite(singles[2]) and singles[3] == 5.0
+    assert stacked.tobytes() == np.array(singles).tobytes()
+
+
 def test_check_weights_returns_floats():
     assert check_weights(np.array([0.25, 0.75]), 2) == (0.25, 0.75)
 

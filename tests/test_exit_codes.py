@@ -258,8 +258,10 @@ ROWS: dict[str, Row] = {
          "perturbation": {"beta0": 1e10, "decay": 0.5}},
         "error: non-finite iterate at step 0", errstate={"over": "ignore", "invalid": "ignore"}),
     "max_iters_reached": Row(("run", "--quiet", "--max-iters", "3"), 0),  # "converged": false, not a failure
-    # ||x0 - z||^2 overflows: the Fejer slack of step 0 is +inf, not NaN, and summary.json stays strict JSON
-    "fejer_slack_overflows": Row(("run", "--quiet"), 0, change={"x0": [8e307]}, errstate={"over": "ignore"}),
+    # ||x0 - z||^2 overflows: the Fejer slack of step 0 is +inf, not NaN, and summary.json stays strict JSON;
+    # ||x1 - x0||^2 overflows too, yet the step norm is finite
+    "fejer_slack_overflows": Row(
+        ("run", "--quiet"), 0, change={"x0": [8e307]}, row0={"step_norm": 8e307}, errstate={"over": "ignore"}),
     "oracle_out_of_budget": Row(
         ("oracle",), 1, err="error: no fixed point within 1 plain iterations", patch={"_ORACLE_PICARD_CAP": 1}),
     "oracle_on_a_reflection": Row(

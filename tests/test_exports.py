@@ -122,8 +122,38 @@ def test_the_top_level_namespace_holds_each_listed_name(module):
     assert [name for name in module.__all__ if getattr(gdsa, name, None) is not getattr(module, name)] == []
 
 
+# Run in a fresh interpreter, since this test session has imported every module
+# already: `import gdsa` loads the iteration only, and the first read of a name
+# of superiorize or the harness imports that module.
+FIRST_USE = """
+import sys
+sys.path.insert(0, {src!r})
+
+def loaded():
+    return {{name for name in sys.modules if name.startswith("gdsa.")}}
+
+import gdsa
+deferred = {{"gdsa.superiorize", "gdsa.harness", "gdsa._float_text", "gdsa.cli"}}
+assert not deferred & loaded(), loaded()
+assert not hasattr(gdsa, "__wrapped__") and not deferred & loaded(), loaded()
+gdsa.superiorized_run
+assert "gdsa.superiorize" in loaded() and not {{"gdsa.harness", "gdsa.cli"}} & loaded(), loaded()
+gdsa.parse_config
+assert "gdsa.harness" in loaded() and "gdsa.cli" not in loaded(), loaded()
+star = {{}}
+exec("from gdsa import *", star)
+del star["__builtins__"]
+assert sorted(star) == sorted({names!r}), sorted(set(star) ^ set({names!r}))
+try:
+    gdsa.nope
+except AttributeError as exc:
+    assert "nope" in str(exc)
+else:
+    raise AssertionError("gdsa.nope resolved")
+"""
+
+
 def test_importing_gdsa_leaves_the_cli_unloaded():
-    # a fresh interpreter: this test session has imported gdsa.cli already
+    names = [name for module in REEXPORTED for name in module.__all__]
     src = str(Path(gdsa.__file__).parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import gdsa; assert 'gdsa.cli' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", FIRST_USE.format(src=src, names=names)], check=True)

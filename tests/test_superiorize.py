@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -312,6 +313,16 @@ def segment_setup():
     return problem, schedule, phi
 
 
+def strict_fejer_cases(interval_schedule, unit_relax) -> list:
+    """Traces and witnesses of the strict monitor: the segment run whose budget
+    cannot reach the minimizer against it, and a two-interval run against 0."""
+    problem, schedule, phi = segment_setup()
+    sup = SuperiorizationSchedule(beta0=0.05, decay=0.9)
+    segment = superiorized_run(schedule, unit_relax, phi, sup, [0.5, 2.0], stop=TIGHT_STOP)
+    intervals = run(interval_schedule, unit_relax, [7.3], stop=TIGHT_STOP)
+    return [(segment, np.array([-1.0, 0.0])), (intervals, np.array([0.0]))]
+
+
 class TestStrictFejer:
     def test_limit_in_cmin_reported(self, unit_relax):
         problem, schedule, phi = segment_setup()
@@ -360,6 +371,31 @@ class TestStrictFejer:
         )
         with pytest.raises(ValueError):
             strict_fejer_monitor(trace, np.array([0.0]), k0=1)
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_finite_decrements_keep_the_bits_of_the_squared_formula(self, case, interval_schedule, unit_relax):
+        trace, z = strict_fejer_cases(interval_schedule, unit_relax)[case]
+        d2 = np.sum((trace.iterates - z) ** 2, axis=-1)
+        assert strict_fejer_monitor(trace, z).decrements.tobytes() == (d2[:-1] - d2[1:]).tobytes()
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_a_trace_scaled_past_the_float_range_scales_its_decrements_exactly(self, case, interval_schedule, unit_relax):
+        # x -> 2^512 x scales each decrement by 2^1024: finite where that fits, +inf where it does not
+        trace, z = strict_fejer_cases(interval_schedule, unit_relax)[case]
+        scaled = replace(trace, iterates=np.ldexp(trace.iterates, 512))
+        report = strict_fejer_monitor(scaled, np.ldexp(z, 512))
+        with np.errstate(over="ignore"):
+            expected = np.ldexp(strict_fejer_monitor(trace, z).decrements, 1024)
+            assert not np.all(np.isfinite(np.sum((scaled.iterates - np.ldexp(z, 512)) ** 2, axis=-1)))
+        assert report.decrements.tobytes() == expected.tobytes()
+        assert not np.any(np.isnan(report.decrements))
+
+    def test_an_overflowing_square_gives_an_infinite_decrement_not_nan(self, interval_schedule, unit_relax):
+        # ||x0 - z||^2 with x0 = 8e307, z = -8e307 lies past the float range; the later iterates sit near 0
+        with np.errstate(over="ignore"):
+            trace = run(interval_schedule, unit_relax, [8e307], stop=TIGHT_STOP)
+        report = strict_fejer_monitor(trace, np.array([-8e307]))
+        assert report.decrements[0] == np.inf and not np.any(np.isnan(report.decrements))
 
     def test_dichotomy_exactly_one_alternative(self, two_ball, ball_schedule, unit_relax):
         # singleton target set: the limit is the constrained minimizer, so the
